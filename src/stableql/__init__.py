@@ -12,7 +12,7 @@ from .errors import (
 )
 from .harness import Design, ExperimentConfig, preset_config, run_experiment, summarize
 from .inference import StudentizedReport, confidence_intervals, studentize
-from .llt import CfModel, RateFit, bessel_ratio, invert_density, l1_distance, rate_fit
+from .llt import CfModel, RateFit, invert_density, l1_distance, rate_fit
 from .models import MODEL_REGISTRY, ModelSpec, Theta, build_model
 from .samplers import NoiseSpec, RngStream, sample_nig, sample_stable
 from .sde import FinePath, ObservationSeries, simulate_fine, thin
@@ -25,7 +25,7 @@ from .sqlik import (
     quasi_score,
     residuals,
 )
-from .stable_core import InfoConstants, KernelConfig, StableKernel, stable_tail_coefficient
+from .stable_core import InfoConstants, StableKernel, stable_tail_coefficient
 
 __all__ = [
     "CfModel",
@@ -35,7 +35,6 @@ __all__ = [
     "FinePath",
     "FitResult",
     "InfoConstants",
-    "KernelConfig",
     "MODEL_REGISTRY",
     "ModelSpec",
     "ModelViolationError",
@@ -53,7 +52,6 @@ __all__ = [
     "StudentizedReport",
     "Theta",
     "UsageError",
-    "bessel_ratio",
     "build_model",
     "confidence_intervals",
     "fit",

@@ -24,96 +24,22 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import kve
 
 from .errors import DomainError, NumericError, UsageError
-from .stable_core import StableKernel, _panel_nodes, stable_tail_coefficient
+from .stable_core import (
+    PANEL_ORDER,
+    PANEL_WIDTH,
+    StableKernel,
+    _panel_nodes,
+    stable_tail_coefficient,
+)
 
 __all__ = [
     "CfModel",
     "RateFit",
-    "bessel_ratio",
     "make_grid",
     "invert_density",
     "l1_distance",
     "rate_fit",
 ]
-
-
-# -- modified Bessel function ratio ---------------------------------------
-
-_ASYMPTOTIC_CUTOFF = 30.0
-
-
-def _bessel_ratio_asymptotic(lam: float, x: float, terms: int = 8) -> float:
-    """K_{lam+1}(x)/K_lam(x) from the large-argument expansion of K."""
-
-    def tail_series(nu):
-        mu = 4.0 * nu * nu
-        total, term = 1.0, 1.0
-        for k in range(1, terms + 1):
-            term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-            total += term
-        return total
-
-    return tail_series(lam + 1.0) / tail_series(lam)
-
-
-def _bessel_cf2(mu: float, x: float, max_iter: int = 10000, tol: float = 1e-16):
-    """Steed/Lentz evaluation of the continued fraction CF2 for K_mu(x).
-
-    Returns h such that K_{mu+1}(x)/K_mu(x) = (mu + 0.5 + x - h) / x.
-    Requires |mu| <= 0.5; convergence is rapid for x of order 1 and larger.
-    """
-    a1 = 0.25 - mu * mu
-    if a1 == 0.0:
-        return 0.0
-    a = -a1
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    for i in range(2, max_iter):
-        a -= 2 * (i - 1)
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        if abs(delh) < abs(h) * tol:
-            return a1 * h
-    raise NumericError(f"Bessel continued fraction failed to converge at x={x}")
-
-
-def bessel_ratio(lam: float, x) -> np.ndarray | float:
-    """K_{lam+1}(x) / K_lam(x) for the modified Bessel function K.
-
-    Uses the continued-fraction representation after reducing the order to
-    [-1/2, 1/2], then climbs back with the (stable) upward recurrence
-    K_{nu+1} = (2 nu / x) K_nu + K_{nu-1}; switches to the large-argument
-    asymptotic series beyond x = 30.  By symmetry K_{-lam} = K_lam the
-    order can be taken >= -1/2.
-    """
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, float))
-    if np.any(xs <= 0.0) or not np.all(np.isfinite(xs)):
-        raise DomainError("bessel_ratio requires x > 0")
-    lam = float(lam)
-    if lam < -0.5:
-        # K_{lam+1}/K_lam = K_{-lam-1}/K_{-lam} = 1 / (K_{-lam}/K_{-lam-1})
-        out = 1.0 / np.atleast_1d(bessel_ratio(-lam - 1.0, xs))
-        return float(out[0]) if scalar else out
-
-    steps = int(round(lam + 0.5)) if lam + 0.5 >= 0.5 else int(math.floor(lam + 0.5))
-    mu = lam - steps
-    out = np.empty_like(xs)
-    for idx, xv in enumerate(xs):
-        if xv > _ASYMPTOTIC_CUTOFF:
-            out[idx] = _bessel_ratio_asymptotic(lam, xv)
-            continue
-        h = _bessel_cf2(mu, xv)
-        ratio = (mu + 0.5 + xv - h) / xv
-        nu = mu
-        for _ in range(steps):
-            nu += 1.0
-            ratio = 2.0 * nu / xv + 1.0 / ratio
-        out[idx] = ratio
-    return float(out[0]) if scalar else out
 
 
 # -- characteristic exponent models ---------------------------------------
@@ -227,7 +153,7 @@ def invert_density(cf: CfModel, h: float, grid: np.ndarray) -> np.ndarray:
     if len(grid) % 2 == 0 or not np.allclose(grid, -grid[::-1], atol=1e-12):
         raise UsageError("grid must be symmetric about 0 and contain 0")
     u_max = _frequency_cutoff(cf, h)
-    nodes, weights = _panel_nodes(u_max, panel_width=0.25, order=12)
+    nodes, weights = _panel_nodes(u_max, panel_width=PANEL_WIDTH, order=PANEL_ORDER)
     wphi = weights * np.exp(cf.exponent(nodes, h))
     if not np.all(np.isfinite(wphi)):
         raise NumericError("non-finite characteristic function values")

@@ -51,22 +51,19 @@ class Theta:
         return cls(alpha=vec[:p_alpha], gamma=vec[p_alpha:])
 
 
-def _lambdify_stack(exprs, args):
-    """Lambdify a list of expressions into f(x, params) -> array (len, n).
+def _like_x(val, x: np.ndarray) -> np.ndarray:
+    """val as a float array of x's shape; lambdified constants return scalars."""
+    val = np.asarray(val, float)
+    return val if val.shape == x.shape else np.broadcast_to(val, x.shape).copy()
 
-    Constant expressions are broadcast to the shape of x.
-    """
+
+def _lambdify_stack(exprs, args):
+    """Lambdify a list of expressions into f(x, params) -> array (len, n)."""
     funcs = [sp.lambdify(args, e, modules="numpy") for e in exprs]
 
     def evaluate(x, params):
         x = np.asarray(x, float)
-        rows = []
-        for f in funcs:
-            val = f(x, *params)
-            rows.append(np.broadcast_to(np.asarray(val, float), x.shape).copy()
-                        if np.ndim(val) != np.ndim(x) or np.shape(val) != np.shape(x)
-                        else np.asarray(val, float))
-        return np.stack(rows, axis=0)
+        return np.stack([_like_x(f(x, *params), x) for f in funcs], axis=0)
 
     return evaluate
 
@@ -134,13 +131,11 @@ class ModelSpec:
 
     def drift(self, x, alpha) -> np.ndarray:
         x = np.asarray(x, float)
-        out = np.asarray(self._a(x, *np.atleast_1d(alpha)), float)
-        return np.broadcast_to(out, x.shape).copy() if out.shape != x.shape else out
+        return _like_x(self._a(x, *np.atleast_1d(alpha)), x)
 
     def scale(self, x, gamma) -> np.ndarray:
         x = np.asarray(x, float)
-        out = np.asarray(self._c(x, *np.atleast_1d(gamma)), float)
-        return np.broadcast_to(out, x.shape).copy() if out.shape != x.shape else out
+        return _like_x(self._c(x, *np.atleast_1d(gamma)), x)
 
     def drift_dalpha(self, x, alpha) -> np.ndarray:
         """Shape (p_alpha, n)."""

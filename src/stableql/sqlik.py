@@ -8,11 +8,10 @@ with Euler residuals
 
     eps_j(theta) = (X_j - X_{j-1} - h a_{j-1}(alpha)) / (h^(1/beta) c_{j-1}(gamma)).
 
-For beta = 1 the objective is fully explicit (Cauchy):
-    H(theta) = -sum_j [ log(pi h) + log c_{j-1} + log(1 + eps_j^2) ].
-
-Analytic gradient and Hessian use the score functions g, k and dg of the
-stable kernel:
+Each evaluation computes the coefficients and residuals once and takes
+log phi, g, k and dg from a StableKernel of the same beta; at beta = 1 that
+kernel is the closed-form Cauchy one, built on demand when none is given.
+Analytic gradient and Hessian:
 
     dH/dalpha = -h^(1-1/beta) sum_j (da_{j-1}/c_{j-1}) g(eps_j)
     dH/dgamma = -sum_j (dc_{j-1}/c_{j-1}) k(eps_j)
@@ -47,13 +46,16 @@ __all__ = [
 
 
 def rate_exponent(h: float, beta: float) -> float:
-    """h^(1 - 1/beta) with the beta = 1 branch short-circuited to 1."""
-    if beta == 1.0:
-        return 1.0
+    """h^(1 - 1/beta); exactly 1.0 at beta = 1."""
     return float(np.exp((1.0 - 1.0 / beta) * np.log(h)))
 
 
-def _coefficients(obs: ObservationSeries, model: ModelSpec, theta: Theta):
+def _scale_and_residuals(
+    obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float
+):
+    """Scale coefficients c_{j-1} and Euler residuals eps_j, j = 1..n."""
+    if obs.n < 1:
+        raise DomainError("need at least one increment")
     xl = obs.x[:-1]
     a = model.drift(xl, theta.alpha)
     c = model.scale(xl, theta.gamma)
@@ -62,16 +64,13 @@ def _coefficients(obs: ObservationSeries, model: ModelSpec, theta: Theta):
         raise ModelViolationError(
             f"scale coefficient non-positive at observation {bad}: c={float(c[bad])!r}"
         )
-    return xl, a, c
+    eps = (np.diff(obs.x) - obs.h * a) / (obs.h ** (1.0 / beta) * c)
+    return c, eps
 
 
 def residuals(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float) -> np.ndarray:
     """Euler residuals eps_j(theta), j = 1..n."""
-    if obs.n < 1:
-        raise DomainError("need at least one increment")
-    _, a, c = _coefficients(obs, model, theta)
-    dx = np.diff(obs.x)
-    return (dx - obs.h * a) / (obs.h ** (1.0 / beta) * c)
+    return _scale_and_residuals(obs, model, theta, beta)[1]
 
 
 def quasi_loglik(
@@ -82,24 +81,24 @@ def quasi_loglik(
     kernel: StableKernel | None = None,
 ) -> float:
     """H(theta); finite for any admissible theta since phi > 0 everywhere."""
-    eps = residuals(obs, model, theta, beta)
-    _, _, c = _coefficients(obs, model, theta)
-    if beta == 1.0:
-        return float(
-            -np.sum(np.log(np.pi * obs.h) + np.log(c) + np.log1p(eps**2))
-        )
-    if kernel is None:
-        raise DomainError("beta != 1 requires a StableKernel")
+    kernel = _kernel_scores(beta, kernel)
+    c, eps = _scale_and_residuals(obs, model, theta, beta)
     return float(
         np.sum(kernel.log_density(eps) - np.log(c)) - obs.n / beta * np.log(obs.h)
     )
 
 
-def _kernel_scores(beta: float, kernel: StableKernel | None):
+def _kernel_scores(beta: float, kernel: StableKernel | None) -> StableKernel:
+    """The kernel every likelihood function evaluates: the given one, whose
+    beta must equal the fit's, or the Cauchy kernel when beta = 1."""
     if beta == 1.0 and kernel is None:
         kernel = StableKernel(1.0)
     if kernel is None:
         raise DomainError("beta != 1 requires a StableKernel")
+    if kernel.beta != beta:
+        raise DomainError(
+            f"kernel is for beta={kernel.beta}, but the likelihood uses beta={beta}"
+        )
     return kernel
 
 
@@ -112,8 +111,8 @@ def quasi_score(
 ) -> np.ndarray:
     """Gradient of H(theta), length p_alpha + p_gamma."""
     kernel = _kernel_scores(beta, kernel)
-    eps = residuals(obs, model, theta, beta)
-    xl, _, c = _coefficients(obs, model, theta)
+    c, eps = _scale_and_residuals(obs, model, theta, beta)
+    xl = obs.x[:-1]
     da = model.drift_dalpha(xl, theta.alpha)
     dc = model.scale_dgamma(xl, theta.gamma)
     hpow = rate_exponent(obs.h, beta)
@@ -133,8 +132,8 @@ def quasi_hessian(
 ) -> np.ndarray:
     """Symmetric Hessian of H(theta) from analytic second derivatives."""
     kernel = _kernel_scores(beta, kernel)
-    eps = residuals(obs, model, theta, beta)
-    xl, _, c = _coefficients(obs, model, theta)
+    c, eps = _scale_and_residuals(obs, model, theta, beta)
+    xl = obs.x[:-1]
     da = model.drift_dalpha(xl, theta.alpha)
     dda = model.drift_ddalpha(xl, theta.alpha)
     dc = model.scale_dgamma(xl, theta.gamma)

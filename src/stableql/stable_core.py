@@ -4,43 +4,57 @@ The standard symmetric beta-stable law has characteristic function
 exp(-|u|^beta), beta in [1, 2).  Its density phi is recovered by the cosine
 transform
 
-    phi(y) = (1/pi) * int_0^inf exp(-u^beta) cos(u y) du,
+    phi(y) = (1/pi) * int_0^inf exp(-u^beta) cos(u y) du.
 
-which we evaluate once on a dense table and interpolate afterwards; the
-quasi-likelihood evaluates phi thousands of times per optimizer run.  For
-beta = 1 the law is standard Cauchy and every quantity is closed form.
+The quasi-likelihood needs three functions of phi, thousands of times per
+optimizer run:
 
-Derived quantities:
+    log phi(y)                        (objective)
+    g(y)  = phi'(y) / phi(y)          (score; k(y) = 1 + y g(y))
+    dg(y) = phi''/phi - (phi'/phi)^2  (Hessian)
 
-    g(y)  = phi'(y) / phi(y)          (log-density derivative)
-    k(y)  = 1 + y * g(y)
-    dg(y) = phi''/phi - (phi'/phi)^2  (derivative of g)
+StableKernel decides at construction how to evaluate them.  At beta = 1 the
+law is standard Cauchy and all three are closed form.  Otherwise phi, phi'
+and phi'' are computed once by the inversion integral on a uniform grid over
+[-TAIL_CUTOFF, TAIL_CUTOFF], and log phi, g and dg are tabulated from them:
+log phi and g as cubic Hermite splines whose slopes are the exact g and dg,
+dg as a cubic spline.  Beyond the cutoff the asymptotic tail series of phi
+and its derivatives takes over.  phi, phi', phi'' and k derive from log phi,
+g and dg.
 
-and the scalar information constants
+The scalar information constants are
 
     c_alpha = int g^2 phi dy,   c_gamma = int k^2 phi dy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, NumericError
 
 __all__ = [
-    "KernelConfig",
     "StableKernel",
     "InfoConstants",
     "stable_tail_coefficient",
 ]
 
 _TAIL_TERMS = 10
+# Tabulation grid: step and half-width; the tail series is used beyond it.
+GRID_STEP = 1e-3
+TAIL_CUTOFF = 15.0
+# Composite Gauss-Legendre quadrature of cosine-transform inversions.
+PANEL_WIDTH = 0.25
+PANEL_ORDER = 12
+# Absolute tolerance of the information-constant quadrature.
+QUAD_TOL = 1e-10
 
 
 def stable_tail_coefficient(beta: float) -> float:
@@ -82,22 +96,28 @@ def _panel_nodes(u_max: float, panel_width: float, order: int):
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Construction parameters for a StableKernel.
+def _half_grid() -> np.ndarray:
+    """Tabulation grid on [0, TAIL_CUTOFF]; the table mirrors it to the left."""
+    return np.linspace(0.0, TAIL_CUTOFF, int(round(TAIL_CUTOFF / GRID_STEP)) + 1)
 
-    grid_step / tail_cutoff define the tabulation grid on
-    [-tail_cutoff, tail_cutoff]; beyond the cutoff the asymptotic tail series
-    is used.  panel_width / panel_order control the composite Gauss-Legendre
-    quadrature of the inversion integral; quad_tol is the absolute tolerance
-    requested from the adaptive validation quadrature.
-    """
 
-    grid_step: float = 1e-3
-    tail_cutoff: float = 15.0
-    panel_width: float = 0.25
-    panel_order: int = 12
-    quad_tol: float = 1e-10
+def _points(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("non-finite evaluation point")
+    return y
+
+
+def _cauchy_log_phi(y):
+    return -np.log(np.pi) - np.log1p(y * y)
+
+
+def _cauchy_g(y):
+    return -2.0 * y / (1.0 + y * y)
+
+
+def _cauchy_dg(y):
+    return -2.0 * (1.0 - y * y) / (1.0 + y * y) ** 2
 
 
 @dataclass(frozen=True)
@@ -107,13 +127,13 @@ class InfoConstants:
 
 
 class StableKernel:
-    """Tabulated evaluator for phi, phi', phi'' and the derived scores.
+    """Evaluator for log phi, g and dg and the quantities derived from them.
 
-    Immutable after construction; all evaluation methods are pure and accept
-    scalars or arrays.
+    Immutable after construction; all evaluation methods are pure, accept
+    scalars or arrays and reject non-finite points with DomainError.
     """
 
-    def __init__(self, beta: float, config: KernelConfig | None = None):
+    def __init__(self, beta: float):
         if not np.isfinite(beta):
             raise DomainError(f"beta must be finite, got {beta!r}")
         if not (1.0 <= beta < 2.0):
@@ -122,32 +142,16 @@ class StableKernel:
                 "the Gaussian-limit normalization is incompatible with exp(-|u|^2)"
             )
         self.beta = float(beta)
-        self.config = config or KernelConfig()
-        self.tail_cutoff = self.config.tail_cutoff
+        self.tail_cutoff = TAIL_CUTOFF
         self._tail_coeffs = _tail_series_coefficients(self.beta)
         self._tail_powers = np.arange(1, self._tail_coeffs.size + 1) * self.beta + 1.0
-
-        step = self.config.grid_step
-        n_half = int(round(self.tail_cutoff / step))
-        half_grid = np.linspace(0.0, self.tail_cutoff, n_half + 1)
-        self.grid = np.concatenate([-half_grid[:0:-1], half_grid])
-
         if self.beta == 1.0:
-            phi_half = 1.0 / (np.pi * (1.0 + half_grid**2))
-            dphi_half = -2.0 * half_grid * phi_half / (1.0 + half_grid**2)
-            ddphi_half = 2.0 * (3.0 * half_grid**2 - 1.0) / (
-                np.pi * (1.0 + half_grid**2) ** 3
-            )
+            self._log_phi, self._g, self._dg = _cauchy_log_phi, _cauchy_g, _cauchy_dg
         else:
-            phi_half, dphi_half, ddphi_half = self._build_tables(half_grid)
-
-        self.phi_table = np.concatenate([phi_half[:0:-1], phi_half])
-        self.dphi_table = np.concatenate([-dphi_half[:0:-1], dphi_half])
-        self.ddphi_table = np.concatenate([ddphi_half[:0:-1], ddphi_half])
-
-        self._phi_spline = CubicSpline(self.grid, self.phi_table)
-        self._dphi_spline = CubicSpline(self.grid, self.dphi_table)
-        self._ddphi_spline = CubicSpline(self.grid, self.ddphi_table)
+            self._log_phi, self._g, self._dg = (
+                partial(self._interpolate, spline, part)
+                for part, spline in enumerate(self._splines())
+            )
 
     # -- construction ------------------------------------------------------
 
@@ -162,7 +166,7 @@ class StableKernel:
         return u
 
     def _build_tables(self, half_grid: np.ndarray):
-        u, w = _panel_nodes(self._u_max(), self.config.panel_width, self.config.panel_order)
+        u, w = _panel_nodes(self._u_max(), PANEL_WIDTH, PANEL_ORDER)
         damp = w * np.exp(-(u**self.beta))
         phi = np.empty_like(half_grid)
         dphi = np.empty_like(half_grid)
@@ -178,33 +182,53 @@ class StableKernel:
             ddphi[lo : lo + chunk] = -(cos @ (damp * u**2)) / np.pi
         return phi, dphi, ddphi
 
+    def _splines(self):
+        """Interpolants of log phi, g and dg on [-TAIL_CUTOFF, TAIL_CUTOFF]."""
+        half_grid = _half_grid()
+        phi, dphi, ddphi = self._build_tables(half_grid)
+        g = dphi / phi
+        dg = ddphi / phi - g * g
+        grid = np.concatenate([-half_grid[:0:-1], half_grid])
+
+        def even(v):
+            return np.concatenate([v[:0:-1], v])
+
+        def odd(v):
+            return np.concatenate([-v[:0:-1], v])
+
+        return (
+            CubicHermiteSpline(grid, even(np.log(phi)), odd(g)),
+            CubicHermiteSpline(grid, odd(g), even(dg)),
+            CubicSpline(grid, even(dg)),
+        )
+
     # -- tail series -------------------------------------------------------
 
-    def _tail_phi(self, ay: np.ndarray) -> np.ndarray:
-        return np.sum(
-            self._tail_coeffs[None, :] * ay[:, None] ** (-self._tail_powers[None, :]),
-            axis=1,
-        )
+    def _tail(self, y: np.ndarray):
+        """(log phi, g, dg) at points y beyond the table, from the tail series.
 
-    def _tail_dphi(self, ay: np.ndarray) -> np.ndarray:
-        """d/dy of the tail series at y = ay > 0 (odd extension elsewhere)."""
+        The series is scaled by its leading power, so the ratios stay finite
+        where the individual terms underflow.
+        """
+        ay = np.abs(y)
         powers = self._tail_powers
-        return np.sum(
-            -self._tail_coeffs[None, :]
-            * powers[None, :]
-            * ay[:, None] ** (-(powers[None, :] + 1.0)),
-            axis=1,
-        )
+        rel = ay[:, None] ** -(powers - powers[0])[None, :]
+        c = self._tail_coeffs
+        s0 = rel @ c
+        s1 = rel @ (c * powers)
+        s2 = rel @ (c * powers * (powers + 1.0))
+        inv = 1.0 / y
+        g = -inv * s1 / s0
+        return np.log(s0) - powers[0] * np.log(ay), g, inv * inv * s2 / s0 - g * g
 
-    def _tail_ddphi(self, ay: np.ndarray) -> np.ndarray:
-        powers = self._tail_powers
-        return np.sum(
-            self._tail_coeffs[None, :]
-            * powers[None, :]
-            * (powers[None, :] + 1.0)
-            * ay[:, None] ** (-(powers + 2.0)),
-            axis=1,
-        )
+    def _interpolate(self, spline, part: int, y: np.ndarray) -> np.ndarray:
+        """Tabulated spline inside the cutoff, tail series beyond it."""
+        inner = np.clip(y, -self.tail_cutoff, self.tail_cutoff)
+        out = spline(inner)
+        far = inner != y
+        if far.any():
+            out[far] = self._tail(y[far])[part]
+        return out
 
     def tail_mass(self, y0: float | None = None) -> float:
         """Analytic mass of the tail series on (y0, inf); default y0=cutoff."""
@@ -214,104 +238,40 @@ class StableKernel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _dispatch(self, y, interior, tail_pos):
-        y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise DomainError("non-finite evaluation point")
-        scalar = y.ndim == 0
-        ya = np.atleast_1d(y)
-        out = np.empty_like(ya)
-        inside = np.abs(ya) <= self.tail_cutoff
-        if np.any(inside):
-            out[inside] = interior(ya[inside])
-        if not np.all(inside):
-            out[~inside] = tail_pos(ya[~inside])
-        return float(out[0]) if scalar else out
-
-    def density(self, y):
-        """phi(y); closed-form Cauchy at beta=1, spline + tail series otherwise."""
-        if self.beta == 1.0:
-            y = np.asarray(y, dtype=float)
-            if not np.all(np.isfinite(y)):
-                raise DomainError("non-finite evaluation point")
-            return 1.0 / (np.pi * (1.0 + y**2))
-        return self._dispatch(
-            y, self._phi_spline, lambda ys: self._tail_phi(np.abs(ys))
-        )
-
-    def ddensity(self, y):
-        """phi'(y)."""
-        if self.beta == 1.0:
-            y = np.asarray(y, dtype=float)
-            return -2.0 * y / (np.pi * (1.0 + y**2) ** 2)
-        return self._dispatch(
-            y,
-            self._dphi_spline,
-            lambda ys: np.sign(ys) * self._tail_dphi(np.abs(ys)),
-        )
-
-    def dddensity(self, y):
-        """phi''(y); tabulated from the differentiated inversion integral."""
-        if self.beta == 1.0:
-            y = np.asarray(y, dtype=float)
-            return 2.0 * (3.0 * y**2 - 1.0) / (np.pi * (1.0 + y**2) ** 3)
-        return self._dispatch(
-            y, self._ddphi_spline, lambda ys: self._tail_ddphi(np.abs(ys))
-        )
-
     def log_density(self, y):
-        return np.log(self.density(y))
+        """log phi(y)."""
+        return self._log_phi(_points(y))[()]
 
     def g(self, y):
         """Log-density derivative phi'/phi; odd and bounded."""
-        if self.beta == 1.0:
-            y = np.asarray(y, dtype=float)
-            if not np.all(np.isfinite(y)):
-                raise DomainError("non-finite evaluation point")
-            return -2.0 * y / (1.0 + y**2)
-        return self.ddensity(y) / self.density(y)
-
-    def k(self, y):
-        """1 + y * g(y); even, bounded, tends to -beta in the tails."""
-        y = np.asarray(y, dtype=float)
-        return 1.0 + y * self.g(y)
+        return self._g(_points(y))[()]
 
     def dg(self, y):
         """Derivative of g: phi''/phi - (phi'/phi)^2."""
-        if self.beta == 1.0:
-            y = np.asarray(y, dtype=float)
-            if not np.all(np.isfinite(y)):
-                raise DomainError("non-finite evaluation point")
-            return -2.0 * (1.0 - y**2) / (1.0 + y**2) ** 2
-        r = self.ddensity(y) / self.density(y)
-        return self.dddensity(y) / self.density(y) - r * r
+        return self._dg(_points(y))[()]
 
-    # -- validation-path quadrature ---------------------------------------
+    def density(self, y):
+        """phi(y)."""
+        return np.exp(self.log_density(y))
 
-    def density_quad(self, y: float) -> float:
-        """phi(y) by adaptive oscillatory quadrature; slow, for validation."""
-        y = float(y)
-        if not np.isfinite(y):
-            raise DomainError("non-finite evaluation point")
-        u_max = self._u_max()
-        if abs(y) < 1e-12:
-            val, _ = integrate.quad(
-                lambda u: np.exp(-(u**self.beta)), 0.0, u_max,
-                epsabs=self.config.quad_tol, limit=200,
-            )
-        else:
-            val, _ = integrate.quad(
-                lambda u: np.exp(-(u**self.beta)), 0.0, u_max,
-                weight="cos", wvar=abs(y),
-                epsabs=self.config.quad_tol, limit=400,
-            )
-        return val / np.pi
+    def ddensity(self, y):
+        """phi'(y) = g phi."""
+        return self.g(y) * self.density(y)
+
+    def dddensity(self, y):
+        """phi''(y) = (dg + g^2) phi."""
+        return (self.dg(y) + self.g(y) ** 2) * self.density(y)
+
+    def k(self, y):
+        """1 + y * g(y); even, bounded, tends to -beta in the tails."""
+        return 1.0 + np.asarray(y, dtype=float) * self.g(y)
 
     # -- information constants --------------------------------------------
 
     def normalization(self) -> float:
-        """int phi over the line: trapezoid over the grid plus tail masses."""
-        return float(np.trapezoid(self.phi_table, self.grid)) + 2.0 * self.tail_mass()
+        """int phi over the line: trapezoid over the table grid plus tail masses."""
+        half_grid = _half_grid()
+        return 2.0 * (float(np.trapezoid(self.density(half_grid), half_grid)) + self.tail_mass())
 
     def info_constants(self) -> InfoConstants:
         """C_alpha = int g^2 phi, C_gamma = int k^2 phi, by adaptive quadrature."""
@@ -322,11 +282,10 @@ class StableKernel:
         def ka(y):
             return self.k(y) ** 2 * self.density(y)
 
-        tol = self.config.quad_tol
         pieces = []
         for f in (ga, ka):
             val, err = integrate.quad(
-                f, 0.0, np.inf, points=None, epsabs=tol, epsrel=1e-10, limit=400
+                f, 0.0, np.inf, points=None, epsabs=QUAD_TOL, epsrel=1e-10, limit=400
             )
             if not np.isfinite(val) or err > 1e-6:
                 raise NumericError(

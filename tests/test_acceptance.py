@@ -231,6 +231,7 @@ def test_criterion_4_sampler_suite(announce):
     announce(4, "sampler suite", failures, f"{elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_5_studentized_bands_stable(announce, stable_runs):
     first, _, seconds = stable_runs
     failures = []
@@ -251,6 +252,7 @@ def test_criterion_5_studentized_bands_stable(announce, stable_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_monotone_accuracy_nig(announce, nig_runs):
     first, _, seconds = nig_runs
     failures = []
@@ -269,6 +271,7 @@ def test_criterion_6_monotone_accuracy_nig(announce, nig_runs):
     announce(6, "monotone accuracy in n, NIG driver", failures, f"{seconds:.0f} s")
 
 
+@pytest.mark.slow
 def test_criterion_7_ci_coverage(announce, nig_runs):
     first, _, _ = nig_runs
     failures = []
@@ -281,6 +284,7 @@ def test_criterion_7_ci_coverage(announce, nig_runs):
     announce(7, "95% CI coverage on the n=3000 NIG design", failures)
 
 
+@pytest.mark.slow
 def test_criterion_8_local_limit_rates(announce, llt_runs):
     failures = []
     brackets = {"tempered": (0.55, 0.80), "nig": (0.80, 1.10)}
@@ -297,6 +301,7 @@ def test_criterion_8_local_limit_rates(announce, llt_runs):
     announce(8, "local limit decay rates", failures, ", ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(announce, stable_runs, nig_runs, llt_runs):
     failures = []
     for tag, (first, second, _) in {"stable": stable_runs, "nig": nig_runs}.items():

@@ -1,15 +1,13 @@
-"""Local limit lab: Bessel ratios, exponents, inversion, and rate fits."""
+"""Local limit lab: exponents, inversion, L1 distances and rate fits."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import kv
 
 from stableql.errors import DomainError, UsageError
 from stableql.llt import (
     CfModel,
-    bessel_ratio,
     invert_density,
     l1_distance,
     make_grid,
@@ -21,30 +19,6 @@ from stableql.stable_core import StableKernel
 @pytest.fixture(scope="module")
 def grid():
     return make_grid()
-
-
-class TestBesselRatio:
-    @pytest.mark.parametrize("lam", [-2.3, -0.5, -0.1, 0.0, 0.5, 1.7, 3.0, 5.5])
-    def test_matches_scipy(self, lam):
-        rng = np.random.default_rng(17)
-        xs = np.concatenate([rng.uniform(0.3, 30.0, 25), rng.uniform(30.0, 200.0, 10)])
-        for x in xs:
-            ref = kv(lam + 1, x) / kv(lam, x)
-            assert abs(bessel_ratio(lam, x) / ref - 1.0) < 1e-12
-
-    def test_half_order_is_exact(self):
-        # K_{1/2} = K_{-1/2}, so the ratio at lam = -1/2 is exactly 1
-        for x in [0.5, 2.0, 10.0, 50.0]:
-            assert bessel_ratio(-0.5, x) == pytest.approx(1.0, abs=1e-15)
-
-    def test_vectorized(self):
-        x = np.array([1.0, 5.0, 40.0])
-        out = bessel_ratio(0.3, x)
-        assert out.shape == (3,)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            bessel_ratio(0.0, -1.0)
 
 
 class TestCfModel:

@@ -66,6 +66,17 @@ class TestLoglik:
         with pytest.raises(DomainError):
             quasi_loglik(stable_series, nonlinear_1d, nonlinear_1d.theta_true, 1.5)
 
+    @pytest.mark.parametrize(
+        "function", [quasi_loglik, quasi_score, quasi_hessian],
+        ids=["loglik", "score", "hessian"],
+    )
+    @pytest.mark.parametrize("beta", [1.0, 1.5])
+    def test_kernel_beta_must_match(self, stable_series, nonlinear_1d, kernel1,
+                                    kernel15, function, beta):
+        other = kernel15 if beta == 1.0 else kernel1
+        with pytest.raises(DomainError, match="kernel"):
+            function(stable_series, nonlinear_1d, nonlinear_1d.theta_true, beta, other)
+
     def test_maximized_near_truth(self, stable_series, nonlinear_1d, kernel15):
         at_truth = quasi_loglik(stable_series, nonlinear_1d,
                                 nonlinear_1d.theta_true, 1.5, kernel15)
@@ -152,6 +163,10 @@ class TestFit:
         with pytest.raises(OptimizationError, match="model violation"):
             fit(stable_series, model, 1.0, opt=OptimizerConfig(restarts=2),
                 rng=RngStream(3, 0))
+
+    def test_kernel_beta_must_match(self, stable_series, nonlinear_1d, kernel1):
+        with pytest.raises(DomainError, match="kernel"):
+            fit(stable_series, nonlinear_1d, 1.5, kernel1, OptimizerConfig(restarts=1))
 
     def test_unknown_method(self, stable_series, nonlinear_1d, kernel15):
         with pytest.raises(DomainError, match="unknown optimizer"):

@@ -16,6 +16,9 @@ G_15_AT_HALF = -0.3606453926565999
 DG_15_AT_07 = -0.6390051297229816
 
 
+EVALUATION_METHODS = ["density", "ddensity", "dddensity", "log_density", "g", "k", "dg"]
+
+
 def quad_density(beta, y):
     val, _ = quad(
         lambda u: math.exp(-(u**beta)) / math.pi,
@@ -63,9 +66,13 @@ class TestDensityValues:
         lead = stable_tail_coefficient(1.5) * y ** (-2.5)
         assert abs(kernel15.density(y) / lead - 1.0) < 1e-2
 
-    def test_non_finite_input_rejected(self, kernel15):
-        with pytest.raises(DomainError):
-            kernel15.density(np.array([0.0, np.nan]))
+    @pytest.mark.parametrize("method", EVALUATION_METHODS)
+    @pytest.mark.parametrize("beta", [1.0, 1.5])
+    def test_non_finite_input_rejected(self, beta, method, kernel1, kernel15):
+        kernel = kernel1 if beta == 1.0 else kernel15
+        for bad in (np.array([0.0, np.nan]), np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                getattr(kernel, method)(bad)
 
 
 class TestScores:
@@ -97,6 +104,26 @@ class TestScores:
     def test_k_tail_limit(self, kernel15):
         # k(y) -> -beta as |y| -> infinity for the power-law tail
         assert abs(kernel15.k(500.0) + 1.5) < 1e-2
+
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+    def test_continuous_across_tail_cutoff(self, beta):
+        # the table ends and the tail series starts at +-tail_cutoff
+        kernel = StableKernel(beta)
+        edge = kernel.tail_cutoff
+        for side in (edge, -edge):
+            inner = np.nextafter(side, 0.0)
+            outer = np.nextafter(side, 2.0 * side)
+            for method in ("log_density", "g", "dg"):
+                f = getattr(kernel, method)
+                assert abs(f(outer) - f(inner)) < 1e-9, (method, side)
+
+    @pytest.mark.parametrize("y", [0.0, 0.4, -1.3, 2.5, 7.0, 14.9, 15.2, -30.0])
+    def test_density_derivatives_match_differences(self, kernel15, y):
+        step = 1e-5
+        fd1 = (kernel15.density(y + step) - kernel15.density(y - step)) / (2 * step)
+        fd2 = (kernel15.ddensity(y + step) - kernel15.ddensity(y - step)) / (2 * step)
+        assert abs(kernel15.ddensity(y) - fd1) < 1e-8
+        assert abs(kernel15.dddensity(y) - fd2) < 1e-8
 
     def test_cauchy_scores_closed_form(self, kernel1):
         y = np.linspace(-10, 10, 101)
