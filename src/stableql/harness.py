@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, PartialFailureError, UsageError
+from .errors import DomainError, PartialFailureError, StableQLError, UsageError
 from .inference import confidence_intervals, studentize
 from .models import ModelSpec, build_model
 from .samplers import NoiseSpec, RngStream
@@ -177,7 +177,7 @@ def _run_replicate(config: ExperimentConfig, rep: int) -> list[dict]:
                 model, config.noise, T, n_fine, config.x0,
                 rng.substream(100 + g_idx),
             )
-        except Exception:
+        except StableQLError:
             fine = None
         for d_idx, design in members:
             t0 = time.perf_counter()

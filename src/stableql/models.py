@@ -5,7 +5,9 @@ parameter derivatives, a bounded box of admissible parameters, and an
 optional true value used by the simulators.  Models are defined by sympy
 expressions in the variable ``x`` and parameters ``a1..ap`` / ``g1..gq``;
 derivatives come from symbolic differentiation, so user-defined expression
-models get analytic scores for free.
+models get analytic scores for free.  A model with a true value also carries
+its Euler update at that value, compiled once to scalar ``math`` code for the
+simulators.
 
 Because lambdified functions do not pickle, a ModelSpec carries its
 defining expressions and can be rebuilt in worker processes via
@@ -19,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.printing.pycode import PythonCodePrinter
 
 from .errors import DomainError, UsageError
 
@@ -68,8 +71,43 @@ def _lambdify_stack(exprs, args):
     return evaluate
 
 
+class _ScalarPrinter(PythonCodePrinter):
+    """Python-float code in which a non-integer power is ``math.pow``.
+
+    ``math.pow`` raises ValueError for a negative base, where ``**`` would
+    return a complex number that no finiteness check accepts.
+    """
+
+    def _print_Pow(self, expr, rational=False):
+        if expr.exp.is_integer or expr.exp in (sp.S.Half, -sp.S.Half):
+            return super()._print_Pow(expr, rational=rational)
+        base, exp = self._print(expr.base), self._print(expr.exp)
+        return f"{self._module_format('math.pow')}({base}, {exp})"
+
+
+def _compile_euler_step(x, a_sym, c_sym, values):
+    """step(x, delta, dj) = x + a(x)*delta + c(x)*dj on Python floats.
+
+    ``values`` maps the parameter symbols to numbers.  They are substituted
+    as 17-digit Floats, so the printed literals round-trip to the same
+    doubles.  Failures surface as the math module's OverflowError,
+    ValueError or ZeroDivisionError.
+    """
+    delta, dj = sp.symbols("delta dj")
+    subs = {s: sp.Float(float(v), 17) for s, v in values.items()}
+    expr = (x + a_sym * delta + c_sym * dj).subs(subs)
+    printer = _ScalarPrinter(
+        {"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True}
+    )
+    return sp.lambdify((x, delta, dj), expr, modules="math", printer=printer)
+
+
 class ModelSpec:
-    """Drift/scale pair with analytic parameter derivatives and a bounds box."""
+    """Drift/scale pair with analytic parameter derivatives and a bounds box.
+
+    ``euler_step(x, delta, dj)`` is the Euler update at ``theta_true`` on
+    Python floats, or None for a model without a true value.
+    """
 
     def __init__(
         self,
@@ -90,6 +128,13 @@ class ModelSpec:
         for lo, hi in bounds:
             if not lo < hi:
                 raise DomainError(f"empty bounds interval ({lo}, {hi})")
+        if theta_true is not None and (
+            theta_true.alpha.size != p_alpha or theta_true.gamma.size != p_gamma
+        ):
+            raise DomainError(
+                f"theta_true needs {p_alpha} alpha and {p_gamma} gamma entries, got "
+                f"{theta_true.alpha.size} and {theta_true.gamma.size}"
+            )
         self.name = name
         self.drift_expr = drift_expr
         self.scale_expr = scale_expr
@@ -126,6 +171,11 @@ class ModelSpec:
         self._dda = _lambdify_stack([e for row in dda for e in row], args_a)
         self._dc = _lambdify_stack(dc, args_g)
         self._ddc = _lambdify_stack([e for row in ddc for e in row], args_g)
+        # Compiled here, not on first use, so that forked workers inherit it.
+        self.euler_step = None
+        if theta_true is not None:
+            values = dict(zip(alphas + gammas, theta_true.full))
+            self.euler_step = _compile_euler_step(x, a_sym, c_sym, values)
 
     # -- evaluation (vectorized over x) -----------------------------------
 

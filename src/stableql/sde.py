@@ -5,10 +5,20 @@ experiments: simulate on a grid much finer than the observation frequency
 (default 50 sub-steps per observation interval), then keep every
 ``factor``-th point.  The scale coefficient is evaluated at the left end of
 each step, matching the predictable integrand of the stochastic integral.
+
+Each step is one call of the model's compiled scalar update
+``ModelSpec.euler_step`` on Python floats, about ten times faster than
+numpy-lambdified coefficients called on scalars.  The increments are
+converted to floats, and the states written back into the path array, in
+chunks of ``_CHUNK`` steps, which keeps the Python lists short on long
+paths.  A non-finite state, or an overflow or domain error raised by the
+``math`` functions of the update, ends the simulation with
+``SimulationOverflowError`` carrying the step at which it happened.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +28,9 @@ from .models import ModelSpec
 from .samplers import NoiseSpec, RngStream
 
 __all__ = ["FinePath", "ObservationSeries", "simulate_fine", "thin"]
+
+# Steps per chunk of increments converted to Python floats at a time.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -84,24 +97,24 @@ def simulate_fine(
         increments = noise.sample(delta, n_fine, rng)
     elif len(increments) != n_fine:
         raise UsageError(f"need {n_fine} increments, got {len(increments)}")
+    increments = np.asarray(increments, dtype=float)
 
-    alpha0 = model.theta_true.alpha
-    gamma0 = model.theta_true.gamma
-    a = model._a
-    c = model._c
+    step = model.euler_step
+    isfinite = math.isfinite
     x = np.empty(n_fine + 1)
-    x[0] = float(x0)
-    xk = x[0]
-    al = tuple(alpha0)
-    ga = tuple(gamma0)
-    # overflow is detected explicitly below, so the transient warnings from
-    # the scalar coefficient evaluations are suppressed
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_fine):
-            xk = xk + float(a(xk, *al)) * delta + float(c(xk, *ga)) * increments[k]
-            if not np.isfinite(xk):
-                raise SimulationOverflowError(k + 1, xk)
-            x[k + 1] = xk
+    x[0] = xk = float(x0)
+    for lo in range(0, n_fine, _CHUNK):
+        states = []
+        append = states.append
+        try:
+            for dj in increments[lo : lo + _CHUNK].tolist():
+                xk = step(xk, delta, dj)
+                if not isfinite(xk):
+                    raise SimulationOverflowError(lo + len(states) + 1, xk)
+                append(xk)
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise SimulationOverflowError(lo + len(states) + 1, math.nan) from exc
+        x[lo + 1 : lo + 1 + len(states)] = states
     return FinePath(x=x, T=T, n_fine=n_fine)
 
 

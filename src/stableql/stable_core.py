@@ -108,16 +108,28 @@ def _points(y) -> np.ndarray:
     return y
 
 
+# Cauchy closed forms through r = hypot(1, y), u = y / r and v = 1 / r, finite
+# for every finite y; 1 + y^2 itself overflows beyond |y| ~ 1e154.  log phi,
+# which every objective evaluation calls, keeps the four times cheaper
+# log1p(y^2) while all points lie below _CAUCHY_SQUARE_SAFE.
+_CAUCHY_SQUARE_SAFE = 1e150
+
+
 def _cauchy_log_phi(y):
-    return -np.log(np.pi) - np.log1p(y * y)
+    if np.abs(y).max(initial=0.0) < _CAUCHY_SQUARE_SAFE:
+        return -np.log(np.pi) - np.log1p(y * y)
+    return -np.log(np.pi) - 2.0 * np.log(np.hypot(1.0, y))
 
 
 def _cauchy_g(y):
-    return -2.0 * y / (1.0 + y * y)
+    r = np.hypot(1.0, y)
+    return -2.0 * (y / r) * (1.0 / r)
 
 
 def _cauchy_dg(y):
-    return -2.0 * (1.0 - y * y) / (1.0 + y * y) ** 2
+    r = np.hypot(1.0, y)
+    u, v = y / r, 1.0 / r
+    return -2.0 * v * v * (v * v - u * u)
 
 
 @dataclass(frozen=True)
@@ -143,6 +155,7 @@ class StableKernel:
             )
         self.beta = float(beta)
         self.tail_cutoff = TAIL_CUTOFF
+        self._info_constants: InfoConstants | None = None
         self._tail_coeffs = _tail_series_coefficients(self.beta)
         self._tail_powers = np.arange(1, self._tail_coeffs.size + 1) * self.beta + 1.0
         if self.beta == 1.0:
@@ -274,7 +287,12 @@ class StableKernel:
         return 2.0 * (float(np.trapezoid(self.density(half_grid), half_grid)) + self.tail_mass())
 
     def info_constants(self) -> InfoConstants:
-        """C_alpha = int g^2 phi, C_gamma = int k^2 phi, by adaptive quadrature."""
+        """C_alpha = int g^2 phi, C_gamma = int k^2 phi, by adaptive quadrature.
+
+        Computed on the first call and returned from then on.
+        """
+        if self._info_constants is not None:
+            return self._info_constants
 
         def ga(y):
             return self.g(y) ** 2 * self.density(y)
@@ -292,4 +310,5 @@ class StableKernel:
                     f"information-constant quadrature did not converge (residual {err:.2e})"
                 )
             pieces.append(2.0 * val)
-        return InfoConstants(c_alpha=pieces[0], c_gamma=pieces[1])
+        self._info_constants = InfoConstants(c_alpha=pieces[0], c_gamma=pieces[1])
+        return self._info_constants

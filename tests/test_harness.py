@@ -3,12 +3,19 @@
 import csv
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stableql.errors import DomainError, PartialFailureError, UsageError
+from stableql import harness
+from stableql.errors import (
+    DomainError,
+    PartialFailureError,
+    SimulationOverflowError,
+    UsageError,
+)
 from stableql.harness import (
     Design,
     ExperimentConfig,
@@ -134,6 +141,26 @@ class TestRunExperiment:
             run_experiment(config, tmp_path / "fail", workers=1)
         rows = read_rows(tmp_path / "fail" / "replicates.csv")
         assert rows and all(r["converged"] == "0" for r in rows)
+
+
+class TestSimulationFailures:
+    def test_program_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the simulator")
+
+        monkeypatch.setattr(harness, "simulate_fine", broken)
+        with pytest.raises(RuntimeError, match="bug in the simulator"):
+            run_experiment(small_config(replicates=2), tmp_path / "run", workers=1)
+
+    def test_overflow_fails_the_cells(self, tmp_path, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise SimulationOverflowError(7, math.inf)
+
+        monkeypatch.setattr(harness, "simulate_fine", overflow)
+        with pytest.raises(PartialFailureError):
+            run_experiment(small_config(replicates=2), tmp_path / "run", workers=1)
+        rows = read_rows(tmp_path / "run" / "replicates.csv")
+        assert len(rows) == 4 and all(r["converged"] == "0" for r in rows)
 
 
 class TestSummarize:

@@ -69,6 +69,11 @@ class TestExpressionModels:
         with pytest.raises(DomainError):
             ModelSpec("m", "a1*x", "g1", 1, 1, [(0, 1)])
 
+    def test_theta_true_size_mismatch(self):
+        with pytest.raises(DomainError, match="theta_true"):
+            build_model(drift="a1*x", scale="g1", p_alpha=1, p_gamma=1,
+                        bounds=[(-1, 1), (0, 1)], theta_true=[0.5, 0.5, 0.5])
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("name", ["nonlinear-1d", "nonlinear-2d"])

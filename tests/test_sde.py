@@ -9,6 +9,19 @@ from stableql.samplers import NoiseSpec, RngStream
 from stableql.sde import FinePath, ObservationSeries, simulate_fine, thin
 
 
+def reference_path(model, x0, delta, increments):
+    """Euler recursion from the vectorized drift and scale, one step at a time."""
+    alpha, gamma = model.theta_true.alpha, model.theta_true.gamma
+    x = np.empty(len(increments) + 1)
+    x[0] = x0
+    with np.errstate(all="ignore"):
+        for k, dj in enumerate(increments):
+            x[k + 1] = (
+                x[k] + model.drift(x[k], alpha) * delta + model.scale(x[k], gamma) * dj
+            )
+    return x
+
+
 class TestObservationSeries:
     def test_invariants(self):
         obs = ObservationSeries(x=np.zeros(11), h=0.1, T=1.0, n=10)
@@ -68,6 +81,49 @@ class TestSimulateFine:
             simulate_fine(model, NoiseSpec("stable", beta=1.5), 10.0, 200, 1.0,
                           RngStream(1, 1))
         assert exc.value.step >= 1
+
+    @pytest.mark.parametrize("name", ["nonlinear-1d", "nonlinear-2d"])
+    @pytest.mark.parametrize(
+        "noise", [NoiseSpec("stable", beta=1.5), NoiseSpec("nig", eta=5.0)],
+        ids=["stable", "nig"],
+    )
+    def test_compiled_step_matches_reference(self, name, noise):
+        # several chunks of increments, so the chunk seams are crossed
+        model = build_model(name)
+        T, n_fine = 2.0, 10000
+        inc = noise.sample(T / n_fine, n_fine, RngStream(5, 2))
+        fine = simulate_fine(model, noise, T, n_fine, 0.5, RngStream(5, 2), increments=inc)
+        ref = reference_path(model, 0.5, T / n_fine, inc)
+        assert np.max(np.abs(fine.x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("jump_at", [10, 6000])
+    @pytest.mark.parametrize(
+        "drift, scale, theta, x0, jump, cause",
+        [
+            ("a1*x**2", "g1", [1.0, 1.0], 0.0, 1e6, OverflowError),
+            ("a1*x", "sqrt(x)+g1", [-1.0, 1.0], 1.0, -10.0, ValueError),
+            # a non-integer power of a negative state is an error, not a complex
+            ("a1*x", "x**0.7+g1", [-1.0, 1.0], 1.0, -10.0, ValueError),
+        ],
+        ids=["overflow", "sqrt", "power"],
+    )
+    def test_math_error_reports_first_failing_step(
+        self, drift, scale, theta, x0, jump, cause, jump_at
+    ):
+        model = build_model(
+            drift=drift, scale=scale, p_alpha=1, p_gamma=1,
+            bounds=[(-5, 5), (-5, 5)], theta_true=theta,
+        )
+        n_fine = 10000
+        inc = np.zeros(n_fine)
+        inc[jump_at] = jump
+        ref = reference_path(model, x0, 1.0 / n_fine, inc)
+        first_bad = int(np.flatnonzero(~np.isfinite(ref))[0])
+        with pytest.raises(SimulationOverflowError) as exc:
+            simulate_fine(model, NoiseSpec("stable", beta=1.5), 1.0, n_fine, x0,
+                          RngStream(0, 0), increments=inc)
+        assert exc.value.step == first_bad
+        assert isinstance(exc.value.__cause__, cause)
 
     def test_requires_theta_true(self):
         model = build_model(drift="a1*x", scale="g1", p_alpha=1, p_gamma=1,

@@ -1,11 +1,13 @@
 """Stable density kernel: values, derivatives, and information constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from stableql import stable_core
 from stableql.errors import DomainError
 from stableql.stable_core import StableKernel, stable_tail_coefficient
 
@@ -130,6 +132,26 @@ class TestScores:
         assert np.allclose(kernel1.g(y), -2 * y / (1 + y**2), atol=1e-12)
         assert np.allclose(kernel1.k(y), (1 - y**2) / (1 + y**2), atol=1e-12)
 
+    def test_cauchy_finite_in_far_tail(self, kernel1):
+        # 1 + y^2 overflows here; the closed forms must not
+        y = np.array([1e300, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [kernel1.log_density(y), kernel1.g(y), kernel1.dg(y)]
+            k = kernel1.k(y)
+        assert all(np.all(np.isfinite(v)) for v in values)
+        assert np.array_equal(k, [-1.0, -1.0])
+
+    def test_cauchy_agrees_with_direct_formulas(self, kernel1):
+        y = np.concatenate([np.linspace(-1e3, 1e3, 20001), np.linspace(-3, 3, 6001)])
+        s = 1.0 + y * y
+        # one far point moves log phi off its log1p(y^2) form onto hypot
+        log_phi = kernel1.log_density(np.append(y, 1e300))[:-1]
+        np.testing.assert_allclose(log_phi, -np.log(np.pi) - np.log1p(y * y), rtol=1e-15)
+        np.testing.assert_allclose(kernel1.g(y), -2.0 * y / s, rtol=0, atol=1e-15)
+        # dg = -2 v^2 (v^2 - u^2) cancels near |y| = 1: a few ulp of |dg| <= 2
+        np.testing.assert_allclose(kernel1.dg(y), -2.0 * (1.0 - y * y) / s**2, rtol=0, atol=4e-15)
+
 
 class TestInfoConstants:
     def test_beta_one_exact(self, kernel1):
@@ -148,6 +170,16 @@ class TestInfoConstants:
             -40, 40, limit=400,
         )
         assert abs(val) < 1e-8
+
+    def test_computed_once_per_kernel(self, monkeypatch):
+        kernel = StableKernel(1.0)
+        first = kernel.info_constants()
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("information constants integrated again")
+
+        monkeypatch.setattr(stable_core.integrate, "quad", no_quadrature)
+        assert kernel.info_constants() == first
 
     def test_information_identity(self, kernel15):
         # integration by parts: int g^2 phi = -int dg phi
