@@ -77,7 +77,8 @@ class ExperimentConfig:
 
     The model is referenced by registry name (or by expression keyword
     arguments in model_kwargs) rather than held as an object, so configs
-    can cross process boundaries; workers rebuild the model locally.
+    can cross process boundaries; each process builds the model once
+    (_cached_context), and forked pool workers inherit it.
     """
 
     model_name: str | None
@@ -332,7 +333,7 @@ def run_experiment(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = config.build_model()
+    model, _ = _cached_context(config)
     if model.theta_true is None:
         raise UsageError("experiments need a model with theta_true")
     p = model.p

@@ -29,6 +29,7 @@ from .stable_core import (
     PANEL_WIDTH,
     StableKernel,
     _panel_nodes,
+    _uniform_trig_sums,
     stable_tail_coefficient,
 )
 
@@ -123,6 +124,11 @@ class CfModel:
 # -- density inversion and L1 metrics -------------------------------------
 
 
+# Radians of cos(u y_max) that one PANEL_ORDER-point panel integrates; 15/60
+# is PANEL_WIDTH, so the default grid keeps PANEL_WIDTH panels.
+_PANEL_PHASE = 15.0
+
+
 def make_grid(half_width: float = 60.0, spacing: float = 1e-2) -> np.ndarray:
     """Uniform symmetric grid on [-half_width, half_width]."""
     m = int(round(half_width / spacing))
@@ -146,24 +152,34 @@ def invert_density(cf: CfModel, h: float, grid: np.ndarray) -> np.ndarray:
     composite Gauss-Legendre panels up to the point where the integrand
     drops below 1e-18.  Tiny negative lobes from quadrature ringing are
     clipped to zero.
+
+    The grid must be uniform and symmetric about 0, y_j = j * step as
+    make_grid builds it; otherwise UsageError.  The transform is evaluated
+    at all points at once by angle addition (stable_core._uniform_trig_sums).
+    Panels are min(PANEL_WIDTH, _PANEL_PHASE / y_max) wide, so cos(u y) turns
+    through at most _PANEL_PHASE radians in one panel at every grid point:
+    on grids wider than y_max = 60, PANEL_WIDTH panels alias the far grid.
     """
     grid = np.asarray(grid, float)
     if grid.ndim != 1 or len(grid) < 2:
         raise UsageError("grid must be a 1d array with at least 2 points")
     if len(grid) % 2 == 0 or not np.allclose(grid, -grid[::-1], atol=1e-12):
         raise UsageError("grid must be symmetric about 0 and contain 0")
+    center = len(grid) // 2
+    step = float(grid[center + 1] - grid[center])
+    uniform = step * np.arange(-center, center + 1)
+    if step == 0.0 or not np.allclose(grid, uniform, rtol=1e-12, atol=1e-12):
+        raise UsageError("grid must be uniform, y_j = j * step")
+    step = abs(step)
+    y_max = center * step
     u_max = _frequency_cutoff(cf, h)
-    nodes, weights = _panel_nodes(u_max, panel_width=PANEL_WIDTH, order=PANEL_ORDER)
+    panel_width = min(PANEL_WIDTH, _PANEL_PHASE / y_max)
+    nodes, weights = _panel_nodes(u_max, panel_width=panel_width, order=PANEL_ORDER)
     wphi = weights * np.exp(cf.exponent(nodes, h))
     if not np.all(np.isfinite(wphi)):
         raise NumericError("non-finite characteristic function values")
-    half = grid[grid >= 0.0]
-    chunk = 256
-    acc = np.zeros_like(half)
-    for lo in range(0, len(nodes), chunk):
-        sl = slice(lo, lo + chunk)
-        acc += wphi[sl] @ np.cos(np.outer(nodes[sl], half))
-    out_half = acc / np.pi
+    out_half, _ = _uniform_trig_sums(nodes, step, center + 1, wphi, None)
+    out_half /= np.pi
     np.clip(out_half, 0.0, None, out=out_half)
     return np.concatenate([out_half[:0:-1], out_half])
 

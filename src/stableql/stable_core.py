@@ -16,7 +16,9 @@ optimizer run:
 StableKernel decides at construction how to evaluate them.  At beta = 1 the
 law is standard Cauchy and all three are closed form.  Otherwise phi, phi'
 and phi'' are computed once by the inversion integral on a uniform grid over
-[-TAIL_CUTOFF, TAIL_CUTOFF], and log phi, g and dg are tabulated from them:
+[-TAIL_CUTOFF, TAIL_CUTOFF] (composite Gauss-Legendre quadrature, summed at
+every grid point by _uniform_trig_sums, which llt's density inversion shares),
+and log phi, g and dg are tabulated from them:
 log phi and g as cubic Hermite splines whose slopes are the exact g and dg,
 dg as a cubic spline.  Beyond the cutoff the asymptotic tail series of phi
 and its derivatives takes over.  phi, phi', phi'' and k derive from log phi,
@@ -29,6 +31,7 @@ The scalar information constants are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -94,6 +97,43 @@ def _panel_nodes(u_max: float, panel_width: float, order: int):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def _uniform_trig_sums(nodes, step, count, cos_weights, sin_weights):
+    """Sums over the nodes u of w(u) cos(u j step) and w(u) sin(u j step), j < count.
+
+    Each weight array has shape (len(nodes),) or (len(nodes), k), or is None
+    to skip its sum; each sum has shape (count,) or (count, k).  Writing
+    j = m * b + i with b = ceil(sqrt(count)), the angle-addition identities
+
+        cos(A + B) = cos A cos B - sin A sin B
+        sin(A + B) = sin A cos B + cos A sin B
+
+    with A = u m b step and B = u i step need the cosines and sines of only
+    len(nodes) * (count / b + b) angles, and each sum is two matrix products.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    block = math.isqrt(count - 1) + 1
+    coarse = np.outer(nodes, step * block * np.arange(-(-count // block)))
+    fine = np.outer(nodes, step * np.arange(block))
+    cos_c, sin_c = np.cos(coarse), np.sin(coarse)
+    cos_f, sin_f = np.cos(fine), np.sin(fine)
+
+    def trig_sum(weights, first, second, sign):
+        if weights is None:
+            return None
+        weights = np.asarray(weights, dtype=float)
+        w = weights.reshape(nodes.size, -1).T[:, :, None]
+        # (k, blocks, b): rows m, columns i of the sum at j = m * b + i
+        table = (w * first).transpose(0, 2, 1) @ cos_f
+        table += sign * ((w * second).transpose(0, 2, 1) @ sin_f)
+        flat = table.reshape(table.shape[0], -1)[:, :count]
+        return flat.T.reshape((count,) + weights.shape[1:])
+
+    return (
+        trig_sum(cos_weights, cos_c, sin_c, -1.0),
+        trig_sum(sin_weights, sin_c, cos_c, 1.0),
+    )
 
 
 def _half_grid() -> np.ndarray:
@@ -178,27 +218,20 @@ class StableKernel:
             u = target
         return u
 
-    def _build_tables(self, half_grid: np.ndarray):
+    def _build_tables(self):
+        """phi, phi' and phi'' at the points of _half_grid(), y_j = j * GRID_STEP."""
         u, w = _panel_nodes(self._u_max(), PANEL_WIDTH, PANEL_ORDER)
         damp = w * np.exp(-(u**self.beta))
-        phi = np.empty_like(half_grid)
-        dphi = np.empty_like(half_grid)
-        ddphi = np.empty_like(half_grid)
-        chunk = 4096
-        for lo in range(0, half_grid.size, chunk):
-            ys = half_grid[lo : lo + chunk, None]
-            arg = ys * u[None, :]
-            cos = np.cos(arg)
-            sin = np.sin(arg)
-            phi[lo : lo + chunk] = cos @ damp / np.pi
-            dphi[lo : lo + chunk] = -(sin @ (damp * u)) / np.pi
-            ddphi[lo : lo + chunk] = -(cos @ (damp * u**2)) / np.pi
-        return phi, dphi, ddphi
+        even, odd = _uniform_trig_sums(
+            u, GRID_STEP, _half_grid().size,
+            np.stack([damp, damp * u**2], axis=1), damp * u,
+        )
+        return even[:, 0] / np.pi, -odd / np.pi, -even[:, 1] / np.pi
 
     def _splines(self):
         """Interpolants of log phi, g and dg on [-TAIL_CUTOFF, TAIL_CUTOFF]."""
         half_grid = _half_grid()
-        phi, dphi, ddphi = self._build_tables(half_grid)
+        phi, dphi, ddphi = self._build_tables()
         g = dphi / phi
         dg = ddphi / phi - g * g
         grid = np.concatenate([-half_grid[:0:-1], half_grid])

@@ -124,6 +124,20 @@ class TestRunExperiment:
         b = run_experiment(small_config(base_seed=12), tmp_path / "b", workers=2)
         assert not filecmp.cmp(a / "summary.json", b / "summary.json", shallow=False)
 
+    def test_reuses_cached_model(self, tmp_path, monkeypatch):
+        config = small_config(replicates=1)
+        run_experiment(config, tmp_path / "a", workers=1)
+        builds = []
+        build = ExperimentConfig.build_model
+
+        def counting(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(ExperimentConfig, "build_model", counting)
+        run_experiment(config, tmp_path / "b", workers=1)
+        assert builds == []
+
     def test_failure_threshold(self, tmp_path):
         config = small_config(
             model_name=None,

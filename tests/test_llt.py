@@ -109,6 +109,19 @@ class TestInvertDensity:
         with pytest.raises(UsageError):
             invert_density(cf, 0.1, np.array([0.0, 1.0, 2.0]))
 
+    def test_non_uniform_grid_rejected(self):
+        cf = CfModel("stable", 1.5)
+        with pytest.raises(UsageError, match="uniform"):
+            invert_density(cf, 0.1, np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5])
+    def test_wide_grid_not_aliased(self, beta, kernel1, kernel15):
+        # PANEL_WIDTH panels alias cos(u y) beyond |y| = 60 (0.12 near 228)
+        kernel = kernel1 if beta == 1.0 else kernel15
+        wide = make_grid(240.0, 1e-2)
+        f = invert_density(CfModel("stable", beta), 0.3, wide)
+        assert np.abs(f - kernel.density(wide)).max() < 1e-10
+
 
 class TestL1Distance:
     def test_zero_for_kernel_itself(self, grid, kernel15):

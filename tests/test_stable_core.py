@@ -187,6 +187,34 @@ class TestInfoConstants:
         assert abs(kernel15.info_constants().c_alpha + val) < 5e-6
 
 
+class TestTrigSums:
+    @pytest.mark.parametrize("count", [1, 2, 7, 50**2 - 1, 50**2 + 1, 6001, 15001])
+    def test_matches_direct_sums(self, count):
+        rng = np.random.default_rng(count)
+        nodes = np.concatenate([1e-12 * 2.0 ** np.arange(30), rng.uniform(0.0, 40.0, 300)])
+        cos_w = rng.normal(size=(nodes.size, 2))
+        sin_w = rng.normal(size=nodes.size)
+        step = 1e-3
+        c, s = stable_core._uniform_trig_sums(nodes, step, count, cos_w, sin_w)
+        arg = np.outer(np.arange(count) * step, nodes)
+        assert c.shape == (count, 2) and s.shape == (count,)
+        assert np.all(np.abs(c - np.cos(arg) @ cos_w) <= 1e-12 * np.abs(cos_w).sum(axis=0))
+        assert np.all(np.abs(s - np.sin(arg) @ sin_w) <= 1e-12 * np.abs(sin_w).sum())
+
+    def test_build_tables_match_direct_sums(self, kernel15):
+        u, w = stable_core._panel_nodes(
+            kernel15._u_max(), stable_core.PANEL_WIDTH, stable_core.PANEL_ORDER
+        )
+        damp = w * np.exp(-(u**1.5))
+        half_grid = stable_core._half_grid()
+        idx = np.random.default_rng(0).choice(half_grid.size, 200, replace=False)
+        arg = np.outer(half_grid[idx], u)
+        phi, dphi, ddphi = kernel15._build_tables()
+        assert np.abs(phi[idx] - np.cos(arg) @ damp / math.pi).max() < 1e-12
+        assert np.abs(dphi[idx] + np.sin(arg) @ (damp * u) / math.pi).max() < 1e-12
+        assert np.abs(ddphi[idx] + np.cos(arg) @ (damp * u**2) / math.pi).max() < 1e-12
+
+
 class TestTailCoefficient:
     def test_cauchy_limit(self):
         assert abs(stable_tail_coefficient(1.0) - 1.0 / math.pi) < 1e-14
