@@ -14,7 +14,7 @@ Monte Carlo config keys (see also the shipped presets):
     noise: {kind: stable|nig, beta: ..., eta: ...}
     designs: list of {T, n, fine_factor}
     replicates, base_seed, beta_fit, x0
-    optimizer: {method, restarts, max_iter, xtol, init_windows}
+    optimizer: {restarts, init_windows}
 
 Local-limit config keys:
 
@@ -108,9 +108,7 @@ def _noise_from(section) -> NoiseSpec:
 
 
 def _optimizer_from(section) -> OptimizerConfig:
-    _check_keys(
-        section, {"method", "restarts", "max_iter", "xtol", "init_windows"}, "optimizer"
-    )
+    _check_keys(section, {"restarts", "init_windows"}, "optimizer")
     kwargs = dict(section)
     if "init_windows" in kwargs and kwargs["init_windows"] is not None:
         kwargs["init_windows"] = tuple(

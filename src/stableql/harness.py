@@ -212,7 +212,7 @@ def _run_replicate(config: ExperimentConfig, rep: int) -> list[dict]:
                         (ci[:, 0] <= theta0) & (theta0 <= ci[:, 1])
                     ).astype(int)
                     rec["converged"] = bool(result.converged)
-                except Exception:
+                except StableQLError:
                     pass
             rec["seconds"] = time.perf_counter() - t0
             records.append(rec)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import NumericError
 from .models import ModelSpec, Theta
@@ -134,7 +134,7 @@ def confidence_intervals(
     if not 0.0 < level < 1.0:
         raise NumericError(f"confidence level must be in (0,1), got {level}")
     rep = studentize(obs, model, theta_hat, theta_hat, beta, constants, kernel)
-    q = norm.ppf(0.5 + level / 2.0)
+    q = ndtri(0.5 + level / 2.0)
     out = np.empty((model.p, 2))
     for scale, sl in ((rep.scale_alpha, slice(0, model.p_alpha)),
                       (rep.scale_gamma, slice(model.p_alpha, model.p))):

@@ -211,11 +211,6 @@ class ModelSpec:
     def p(self) -> int:
         return self.p_alpha + self.p_gamma
 
-    def clip_to_bounds(self, vec: np.ndarray) -> np.ndarray:
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return np.clip(vec, lo, hi)
-
     def contains(self, theta: Theta) -> bool:
         v = theta.full
         return all(lo <= t <= hi for t, (lo, hi) in zip(v, self.bounds))

@@ -163,16 +163,17 @@ def quasi_hessian(
     return H
 
 
+# L-BFGS-B iteration cap per restart
+ITER_LIMIT = 2000
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Maximization settings: derivative-free simplex by default, with an
-    optional gradient mode; multistart initial points drawn uniformly over
-    init_windows (default: the bounds box)."""
+    """Multistart settings for L-BFGS-B on the analytic score: ``restarts``
+    initial points drawn uniformly over init_windows (default: the bounds
+    box)."""
 
-    method: str = "nelder-mead"
     restarts: int = 10
-    max_iter: int = 2000
-    xtol: float = 1e-8
     init_windows: tuple[tuple[float, float], ...] | None = None
 
 
@@ -194,7 +195,7 @@ def fit(
     opt: OptimizerConfig | None = None,
     rng: RngStream | None = None,
 ) -> FitResult:
-    """Maximize H over the bounds box with uniform multistart.
+    """Maximize H over the bounds box by L-BFGS-B with uniform multistart.
 
     The winner is the restart with the largest H value; exact ties are broken
     by the smaller normalized score norm so the result is deterministic.
@@ -202,8 +203,6 @@ def fit(
     opt = opt or OptimizerConfig()
     rng = rng or RngStream(0, 0)
     kernel = _kernel_scores(beta, kernel)
-    if opt.method not in ("nelder-mead", "quasi-newton"):
-        raise DomainError(f"unknown optimizer method {opt.method!r}")
 
     lo = np.array([b[0] for b in model.bounds])
     hi = np.array([b[1] for b in model.bounds])
@@ -215,79 +214,54 @@ def fit(
         whi = np.minimum(hi, [w[1] for w in windows])
     gen = rng.generator(purpose=7)
     inits = gen.uniform(wlo, whi, size=(max(1, opt.restarts), model.p))
+    dn = np.concatenate(
+        [
+            np.full(model.p_alpha, np.sqrt(obs.n) * rate_exponent(obs.h, beta)),
+            np.full(model.p_gamma, np.sqrt(obs.n)),
+        ]
+    )
 
     violations: list[str] = []
 
     def objective(vec):
-        theta = Theta.from_full(model.clip_to_bounds(vec), model.p_alpha)
+        theta = Theta.from_full(vec, model.p_alpha)
         try:
-            return -quasi_loglik(obs, model, theta, beta, kernel)
+            return (
+                -quasi_loglik(obs, model, theta, beta, kernel),
+                -quasi_score(obs, model, theta, beta, kernel),
+            )
         except ModelViolationError as exc:
             violations.append(str(exc))
-            return np.inf
-
-    def gradient(vec):
-        theta = Theta.from_full(model.clip_to_bounds(vec), model.p_alpha)
-        return -quasi_score(obs, model, theta, beta, kernel)
+            return np.inf, np.zeros(model.p)
 
     best = None
     n_evals = 0
     failures = []
     for start in inits:
-        # infinite objective values (model violations) trip harmless
-        # invalid-subtract warnings inside the simplex bookkeeping
-        with np.errstate(invalid="ignore"):
-            if opt.method == "nelder-mead":
-                res = minimize(
-                    objective,
-                    start,
-                    method="Nelder-Mead",
-                    bounds=list(zip(lo, hi)),
-                    options={
-                        "maxiter": opt.max_iter,
-                        "xatol": opt.xtol * (1.0 + np.max(np.abs(start))),
-                        "fatol": 1e-10,
-                    },
-                )
-            else:
-                res = minimize(
-                    objective,
-                    start,
-                    jac=gradient,
-                    method="L-BFGS-B",
-                    bounds=list(zip(lo, hi)),
-                    options={"maxiter": opt.max_iter},
-                )
+        res = minimize(
+            objective,
+            start,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(lo, hi)),
+            options={"maxiter": ITER_LIMIT},
+        )
         n_evals += int(res.nfev)
         if not np.isfinite(res.fun):
             failures.append(res.message)
             continue
-        vec = model.clip_to_bounds(res.x)
-        theta = Theta.from_full(vec, model.p_alpha)
-        value = -float(res.fun)
-        dn = np.concatenate(
-            [
-                np.full(model.p_alpha, np.sqrt(obs.n) * rate_exponent(obs.h, beta)),
-                np.full(model.p_gamma, np.sqrt(obs.n)),
-            ]
-        )
-        try:
-            snorm = float(
-                np.linalg.norm(quasi_score(obs, model, theta, beta, kernel) / dn)
-            )
-        except ModelViolationError:
-            snorm = np.inf
-        cand = (value, -snorm, theta, bool(res.success))
-        if best is None or (cand[0], cand[1]) > (best[0], best[1]):
+        snorm = float(np.linalg.norm(res.jac / dn))
+        cand = (-float(res.fun), -snorm, res.x, bool(res.success))
+        if best is None or cand[:2] > best[:2]:
             best = cand
     if best is None:
         detail = failures[-1] if failures else "no detail"
         if violations:
             detail = f"model violation: {violations[-1]}"
         raise OptimizationError(f"all {len(inits)} restarts failed ({detail})")
-    value, neg_snorm, theta, success = best
+    value, neg_snorm, vec, success = best
     return FitResult(
-        theta_hat=theta,
+        theta_hat=Theta.from_full(vec, model.p_alpha),
         loglik=value,
         n_evals=n_evals,
         converged=success,

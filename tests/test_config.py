@@ -98,6 +98,12 @@ class TestExperimentFromConfig:
                 {"preset": "nig-1d", "noise": {"kind": "nig", "kappa": 1}}
             )
 
+    def test_unknown_optimizer_key_named(self):
+        with pytest.raises(UsageError, match="'method'"):
+            experiment_from_config(
+                {"preset": "nig-1d", "optimizer": {"method": "nelder-mead"}}
+            )
+
     def test_missing_required(self):
         with pytest.raises(UsageError, match="model"):
             experiment_from_config({"beta_fit": 1.0})

@@ -158,12 +158,13 @@ class TestRunExperiment:
 
 
 class TestSimulationFailures:
-    def test_program_error_propagates(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("stage", ["simulate_fine", "fit"])
+    def test_program_error_propagates(self, tmp_path, monkeypatch, stage):
         def broken(*args, **kwargs):
-            raise RuntimeError("bug in the simulator")
+            raise RuntimeError(f"bug in {stage}")
 
-        monkeypatch.setattr(harness, "simulate_fine", broken)
-        with pytest.raises(RuntimeError, match="bug in the simulator"):
+        monkeypatch.setattr(harness, stage, broken)
+        with pytest.raises(RuntimeError, match=f"bug in {stage}"):
             run_experiment(small_config(replicates=2), tmp_path / "run", workers=1)
 
     def test_overflow_fails_the_cells(self, tmp_path, monkeypatch):

@@ -1,8 +1,14 @@
 """Studentization, empirical information, and confidence intervals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stableql
 from stableql.errors import NumericError
 from stableql.inference import (
     confidence_intervals,
@@ -125,3 +131,15 @@ class TestPivotDistribution:
         zs = np.array(zs)
         assert np.max(np.abs(zs.mean(axis=0))) < 0.6
         assert np.all(zs.std(axis=0) > 0.5) and np.all(zs.std(axis=0) < 1.7)
+
+
+def test_import_does_not_load_scipy_stats():
+    """The normal quantile comes from scipy.special; scipy.stats is slow to import."""
+    src = str(Path(stableql.__file__).resolve().parents[1])
+    code = "import sys, stableql; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

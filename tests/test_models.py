@@ -116,14 +116,6 @@ class TestDerivatives:
 
 
 class TestBoundsHelpers:
-    def test_clip(self, nonlinear_1d):
-        lo = np.array([b[0] for b in nonlinear_1d.bounds])
-        hi = np.array([b[1] for b in nonlinear_1d.bounds])
-        clipped = nonlinear_1d.clip_to_bounds(hi + 5.0)
-        assert np.array_equal(clipped, hi)
-        clipped = nonlinear_1d.clip_to_bounds(lo - 5.0)
-        assert np.array_equal(clipped, lo)
-
     def test_describe(self, nonlinear_1d):
         d = nonlinear_1d.describe()
         assert d["name"] == "nonlinear-1d"
