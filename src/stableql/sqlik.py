@@ -117,7 +117,7 @@ def quasi_score(
     dc = model.scale_dgamma(xl, theta.gamma)
     hpow = rate_exponent(obs.h, beta)
     gv = kernel.g(eps)
-    kv = kernel.k(eps)
+    kv = 1.0 + eps * gv
     grad_alpha = -hpow * (da / c) @ gv
     grad_gamma = -(dc / c) @ kv
     return np.concatenate([grad_alpha, grad_gamma])
@@ -141,7 +141,7 @@ def quasi_hessian(
     hpow = rate_exponent(obs.h, beta)
 
     gv = kernel.g(eps)
-    kv = kernel.k(eps)
+    kv = 1.0 + eps * gv
     dgv = kernel.dg(eps)
 
     p_a, p_g = model.p_alpha, model.p_gamma

@@ -17,8 +17,10 @@ StableKernel decides at construction how to evaluate them.  At beta = 1 the
 law is standard Cauchy and all three are closed form.  Otherwise phi, phi'
 and phi'' are computed once by the inversion integral on a uniform grid over
 [-TAIL_CUTOFF, TAIL_CUTOFF] (composite Gauss-Legendre quadrature, summed at
-every grid point by _uniform_trig_sums, which llt's density inversion shares),
-and log phi, g and dg are tabulated from them:
+every grid point by _uniform_trig_sums, which llt's density inversion shares;
+angle addition leaves each node the cosines and sines of about
+4 count^(1/4) angles for count grid points), and log phi, g and dg are
+tabulated from them:
 log phi and g as cubic Hermite splines whose slopes are the exact g and dg,
 dg as a cubic spline.  Beyond the cutoff the asymptotic tail series of phi
 and its derivatives takes over.  phi, phi', phi'' and k derive from log phi,
@@ -99,6 +101,22 @@ def _panel_nodes(u_max: float, panel_width: float, order: int):
     return nodes, weights
 
 
+def _cos_sin(nodes, step, count):
+    """cos and sin of u k step for k < count at the nodes u; shape (count, len(nodes)).
+
+    Writing k = p * q + r with q = ceil(sqrt(count)), angle addition forms
+    them from the cosines and sines of about 2 sqrt(count) angles per node.
+    """
+    q = math.isqrt(count - 1) + 1
+    coarse = np.multiply.outer(step * q * np.arange(-(-count // q)), nodes)[:, None, :]
+    fine = np.multiply.outer(step * np.arange(q), nodes)
+    cos_c, sin_c = np.cos(coarse), np.sin(coarse)
+    cos_f, sin_f = np.cos(fine), np.sin(fine)
+    cos = (cos_c * cos_f - sin_c * sin_f).reshape(-1, nodes.size)[:count]
+    sin = (sin_c * cos_f + cos_c * sin_f).reshape(-1, nodes.size)[:count]
+    return cos, sin
+
+
 def _uniform_trig_sums(nodes, step, count, cos_weights, sin_weights):
     """Sums over the nodes u of w(u) cos(u j step) and w(u) sin(u j step), j < count.
 
@@ -109,24 +127,25 @@ def _uniform_trig_sums(nodes, step, count, cos_weights, sin_weights):
         cos(A + B) = cos A cos B - sin A sin B
         sin(A + B) = sin A cos B + cos A sin B
 
-    with A = u m b step and B = u i step need the cosines and sines of only
-    len(nodes) * (count / b + b) angles, and each sum is two matrix products.
+    with A = u m b step and B = u i step reduce each sum to two matrix
+    products over tables of count / b coarse and b fine angles per node.
+    _cos_sin builds each table by the same identities, so a node needs the
+    cosines and sines of about 4 count^(1/4) angles: 36 for the 6001-point
+    half grid of make_grid(), whose two tables hold 155.
     """
     nodes = np.asarray(nodes, dtype=float)
     block = math.isqrt(count - 1) + 1
-    coarse = np.outer(nodes, step * block * np.arange(-(-count // block)))
-    fine = np.outer(nodes, step * np.arange(block))
-    cos_c, sin_c = np.cos(coarse), np.sin(coarse)
-    cos_f, sin_f = np.cos(fine), np.sin(fine)
+    cos_c, sin_c = _cos_sin(nodes, step * block, -(-count // block))
+    cos_f, sin_f = _cos_sin(nodes, step, block)
 
     def trig_sum(weights, first, second, sign):
         if weights is None:
             return None
         weights = np.asarray(weights, dtype=float)
-        w = weights.reshape(nodes.size, -1).T[:, :, None]
+        w = weights.reshape(nodes.size, -1).T[:, None, :]
         # (k, blocks, b): rows m, columns i of the sum at j = m * b + i
-        table = (w * first).transpose(0, 2, 1) @ cos_f
-        table += sign * ((w * second).transpose(0, 2, 1) @ sin_f)
+        table = (w * first) @ cos_f.T
+        table += sign * ((w * second) @ sin_f.T)
         flat = table.reshape(table.shape[0], -1)[:, :count]
         return flat.T.reshape((count,) + weights.shape[1:])
 

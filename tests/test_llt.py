@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stableql.errors import DomainError, UsageError
+from stableql import llt
+from stableql.errors import DomainError, NumericError, UsageError
 from stableql.llt import (
     CfModel,
     invert_density,
@@ -13,7 +14,13 @@ from stableql.llt import (
     make_grid,
     rate_fit,
 )
-from stableql.stable_core import StableKernel
+from stableql.stable_core import PANEL_ORDER, PANEL_WIDTH, StableKernel, _panel_nodes
+
+
+LLT_DRIVERS = [
+    CfModel("tempered_stable", 1.5, lambda_tempering=1.0),
+    CfModel("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0),
+]
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +84,25 @@ class TestCfModel:
             CfModel("poisson", 1.0)
 
 
+class TestFrequencyCutoff:
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 1.8])
+    def test_stable_crossing(self, beta):
+        u = llt._frequency_cutoff(CfModel("stable", beta), 0.1)
+        assert abs(u / 42.0 ** (1.0 / beta) - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("h", [1e-1, 1e-3])
+    @pytest.mark.parametrize("cf", LLT_DRIVERS, ids=lambda cf: cf.kind)
+    def test_tight_crossing(self, cf, h):
+        u = llt._frequency_cutoff(cf, h)
+        assert float(cf.exponent(u, h)) <= -42.0 < float(cf.exponent(u / 1.002, h))
+
+    def test_slow_decay_raises(self, monkeypatch):
+        # log(1.5^64) = 26: the bracketing never reaches -42
+        monkeypatch.setattr(CfModel, "exponent", lambda self, u, h: -np.log1p(u))
+        with pytest.raises(NumericError, match="too slowly"):
+            llt._frequency_cutoff(CfModel("stable", 1.5), 0.1)
+
+
 class TestInvertDensity:
     @pytest.mark.parametrize("beta", [1.0, 1.5])
     def test_stable_recovers_kernel(self, beta, grid):
@@ -121,6 +147,15 @@ class TestInvertDensity:
         wide = make_grid(240.0, 1e-2)
         f = invert_density(CfModel("stable", beta), 0.3, wide)
         assert np.abs(f - kernel.density(wide)).max() < 1e-10
+
+    @pytest.mark.parametrize("cf", LLT_DRIVERS, ids=lambda cf: cf.kind)
+    def test_matches_direct_quadrature(self, cf, grid):
+        h = 1e-3
+        nodes, weights = _panel_nodes(llt._frequency_cutoff(cf, h), PANEL_WIDTH, PANEL_ORDER)
+        wphi = weights * np.exp(cf.exponent(nodes, h))
+        idx = np.random.default_rng(8).choice(grid.size, 50, replace=False)
+        direct = np.clip(np.cos(np.outer(grid[idx], nodes)) @ wphi / math.pi, 0.0, None)
+        assert np.abs(invert_density(cf, h, grid)[idx] - direct).max() < 1e-13
 
 
 class TestL1Distance:

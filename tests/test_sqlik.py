@@ -129,6 +129,16 @@ class TestDerivatives:
             ) / (2 * step)
             assert np.max(np.abs(hess[:, i] - fd_h) / (1 + np.abs(fd_h))) < 1e-4
 
+    @pytest.mark.parametrize("derivative", [quasi_score, quasi_hessian])
+    def test_one_g_evaluation(self, derivative, stable_series, nonlinear_1d, kernel15,
+                              monkeypatch):
+        # k = 1 + eps g comes from the same g values, not from a second kernel call
+        calls = []
+        g = kernel15.g
+        monkeypatch.setattr(kernel15, "g", lambda y: calls.append(y) or g(y))
+        derivative(stable_series, nonlinear_1d, perturbed(nonlinear_1d, 0.1), 1.5, kernel15)
+        assert len(calls) == 1
+
 
 class TestFit:
     @pytest.mark.parametrize(
