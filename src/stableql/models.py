@@ -5,9 +5,11 @@ parameter derivatives, a bounded box of admissible parameters, and an
 optional true value used by the simulators.  Models are defined by sympy
 expressions in the variable ``x`` and parameters ``a1..ap`` / ``g1..gq``;
 derivatives come from symbolic differentiation, so user-defined expression
-models get analytic scores for free.  A model with a true value also carries
-its Euler update at that value, compiled once to scalar ``math`` code for the
-simulators.
+models get analytic scores for free.  Both hot paths are compiled once, at
+construction: ``coefficients`` evaluates a, c and their first derivatives
+in one numpy pass with common subexpressions shared, and a model with a
+true value carries its Euler walk at that value, a scalar ``math`` loop
+for the simulators.
 
 Because lambdified functions do not pickle, a ModelSpec carries its
 defining expressions and can be rebuilt in worker processes via
@@ -16,6 +18,7 @@ defining expressions and can be rebuilt in worker processes via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,14 +38,26 @@ _ALLOWED_FUNCS = {
 
 @dataclass(frozen=True)
 class Theta:
-    """Parameter point theta = (alpha, gamma)."""
+    """Parameter point theta = (alpha, gamma).
+
+    alpha and gamma are read-only copies, so a point never changes.  The
+    likelihood functions of ``sqlik`` remember their last pass over the
+    observations at this point in ``_memo``, which is neither compared,
+    printed nor pickled.
+    """
 
     alpha: np.ndarray
     gamma: np.ndarray
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.atleast_1d(np.asarray(self.alpha, float)))
-        object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, float)))
+        for name in ("alpha", "gamma"):
+            value = np.array(getattr(self, name), float, ndmin=1)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        return {"alpha": self.alpha, "gamma": self.gamma}
 
     @property
     def full(self) -> np.ndarray:
@@ -58,6 +73,19 @@ def _like_x(val, x: np.ndarray) -> np.ndarray:
     """val as a float array of x's shape; lambdified constants return scalars."""
     val = np.asarray(val, float)
     return val if val.shape == x.shape else np.broadcast_to(val, x.shape).copy()
+
+
+def _lambdify_coefficients(a_sym, c_sym, da, dc, args):
+    """f(x, alpha, gamma) -> (a, c, da, dc), one numpy pass with shared subexpressions."""
+    func = sp.lambdify(args, [a_sym, c_sym, *da, *dc], modules="numpy", cse=True)
+    p_alpha = len(da)
+
+    def coefficients(x, alpha, gamma):
+        x = np.asarray(x, float)
+        a, c, *rest = (_like_x(v, x) for v in func(x, *alpha, *gamma))
+        return a, c, np.stack(rest[:p_alpha]), np.stack(rest[p_alpha:])
+
+    return coefficients
 
 
 def _lambdify_stack(exprs, args):
@@ -85,13 +113,17 @@ class _ScalarPrinter(PythonCodePrinter):
         return f"{self._module_format('math.pow')}({base}, {exp})"
 
 
-def _compile_euler_step(x, a_sym, c_sym, values):
-    """step(x, delta, dj) = x + a(x)*delta + c(x)*dj on Python floats.
+def _compile_euler_walk(x, a_sym, c_sym, values):
+    """walk(x, delta, increments) -> (states, error) on Python floats.
 
-    ``values`` maps the parameter symbols to numbers.  They are substituted
-    as 17-digit Floats, so the printed literals round-trip to the same
-    doubles.  Failures surface as the math module's OverflowError,
-    ValueError or ZeroDivisionError.
+    The walk applies x <- x + a(x)*delta + c(x)*dj for each dj in turn,
+    with the update inlined in the loop body, and returns the list of
+    states.  ``values`` maps the parameter symbols to numbers.  They are
+    substituted as 17-digit Floats, so the printed literals round-trip to
+    the same doubles.  An OverflowError, ValueError or ZeroDivisionError
+    raised by the ``math`` functions ends the walk; it is returned as
+    ``error`` together with the states before it.  A state that becomes
+    non-finite without an exception is returned like any other.
     """
     delta, dj = sp.symbols("delta dj")
     subs = {s: sp.Float(float(v), 17) for s, v in values.items()}
@@ -99,14 +131,30 @@ def _compile_euler_step(x, a_sym, c_sym, values):
     printer = _ScalarPrinter(
         {"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True}
     )
-    return sp.lambdify((x, delta, dj), expr, modules="math", printer=printer)
+    source = (
+        f"def euler_walk({x}, {delta}, increments):\n"
+        "    states = []\n"
+        "    append = states.append\n"
+        "    try:\n"
+        f"        for {dj} in increments:\n"
+        f"            {x} = {printer.doprint(expr)}\n"
+        f"            append({x})\n"
+        "    except (OverflowError, ValueError, ZeroDivisionError) as error:\n"
+        "        return states, error\n"
+        "    return states, None\n"
+    )
+    namespace = dict(vars(math))
+    exec(compile(source, f"<euler walk {expr}>", "exec"), namespace)
+    return namespace["euler_walk"]
 
 
 class ModelSpec:
     """Drift/scale pair with analytic parameter derivatives and a bounds box.
 
-    ``euler_step(x, delta, dj)`` is the Euler update at ``theta_true`` on
-    Python floats, or None for a model without a true value.
+    ``coefficients(x, alpha, gamma)`` gives a, c and their first parameter
+    derivatives together, for the likelihood.  ``euler_walk(x, delta,
+    increments)`` is the Euler walk at ``theta_true`` on Python floats, or
+    None for a model without a true value.  Both are compiled here, once.
     """
 
     def __init__(
@@ -171,11 +219,12 @@ class ModelSpec:
         self._dda = _lambdify_stack([e for row in dda for e in row], args_a)
         self._dc = _lambdify_stack(dc, args_g)
         self._ddc = _lambdify_stack([e for row in ddc for e in row], args_g)
-        # Compiled here, not on first use, so that forked workers inherit it.
-        self.euler_step = None
+        # Compiled here, not on first use, so that forked workers inherit them.
+        self._coefficients = _lambdify_coefficients(a_sym, c_sym, da, dc, (x, *alphas, *gammas))
+        self.euler_walk = None
         if theta_true is not None:
             values = dict(zip(alphas + gammas, theta_true.full))
-            self.euler_step = _compile_euler_step(x, a_sym, c_sym, values)
+            self.euler_walk = _compile_euler_walk(x, a_sym, c_sym, values)
 
     # -- evaluation (vectorized over x) -----------------------------------
 
@@ -204,6 +253,14 @@ class ModelSpec:
         flat = self._ddc(x, np.atleast_1d(gamma))
         n = np.asarray(x, float).shape
         return flat.reshape(self.p_gamma, self.p_gamma, *n)
+
+    def coefficients(self, x, alpha, gamma):
+        """drift, scale, drift_dalpha and scale_dgamma at x from one pass.
+
+        a and c have x's shape, da and dc shapes (p_alpha, n) and
+        (p_gamma, n); constants, such as the scale g1, are broadcast to them.
+        """
+        return self._coefficients(x, np.atleast_1d(alpha), np.atleast_1d(gamma))
 
     # -- misc --------------------------------------------------------------
 

@@ -6,14 +6,15 @@ experiments: simulate on a grid much finer than the observation frequency
 ``factor``-th point.  The scale coefficient is evaluated at the left end of
 each step, matching the predictable integrand of the stochastic integral.
 
-Each step is one call of the model's compiled scalar update
-``ModelSpec.euler_step`` on Python floats, about ten times faster than
-numpy-lambdified coefficients called on scalars.  The increments are
-converted to floats, and the states written back into the path array, in
-chunks of ``_CHUNK`` steps, which keeps the Python lists short on long
-paths.  A non-finite state, or an overflow or domain error raised by the
-``math`` functions of the update, ends the simulation with
-``SimulationOverflowError`` carrying the step at which it happened.
+The steps run in the model's compiled Euler walk ``ModelSpec.euler_walk``,
+a loop on Python floats with the update inlined, so no Python function is
+called per step.  The increments are converted to floats, and the states
+written back into the path array, in chunks of ``_CHUNK`` steps, which keeps
+the Python lists short on long paths.  An overflow or domain error raised by
+the ``math`` functions of the update ends the walk; each chunk's states are
+then checked for finiteness at once.  Either failure ends the simulation
+with ``SimulationOverflowError`` carrying the step of the first non-finite
+state, or else of the error.
 """
 
 from __future__ import annotations
@@ -99,22 +100,20 @@ def simulate_fine(
         raise UsageError(f"need {n_fine} increments, got {len(increments)}")
     increments = np.asarray(increments, dtype=float)
 
-    step = model.euler_step
-    isfinite = math.isfinite
+    walk = model.euler_walk
     x = np.empty(n_fine + 1)
     x[0] = xk = float(x0)
     for lo in range(0, n_fine, _CHUNK):
-        states = []
-        append = states.append
-        try:
-            for dj in increments[lo : lo + _CHUNK].tolist():
-                xk = step(xk, delta, dj)
-                if not isfinite(xk):
-                    raise SimulationOverflowError(lo + len(states) + 1, xk)
-                append(xk)
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise SimulationOverflowError(lo + len(states) + 1, math.nan) from exc
-        x[lo + 1 : lo + 1 + len(states)] = states
+        states, error = walk(xk, delta, increments[lo : lo + _CHUNK].tolist())
+        chunk = x[lo + 1 : lo + 1 + len(states)]
+        chunk[:] = states
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise SimulationOverflowError(lo + bad + 1, float(chunk[bad]))
+        if error is not None:
+            raise SimulationOverflowError(lo + len(states) + 1, math.nan) from error
+        xk = states[-1]
     return FinePath(x=x, T=T, n_fine=n_fine)
 
 

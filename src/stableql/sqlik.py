@@ -8,8 +8,11 @@ with Euler residuals
 
     eps_j(theta) = (X_j - X_{j-1} - h a_{j-1}(alpha)) / (h^(1/beta) c_{j-1}(gamma)).
 
-Each evaluation computes the coefficients and residuals once and takes
-log phi, g, k and dg from a StableKernel of the same beta; at beta = 1 that
+Each point gets one pass over the observations: one ModelSpec.coefficients
+call gives a, c and their first derivatives, from which the residuals
+follow.  The pass is remembered on the Theta, so quasi_loglik and
+quasi_score at the same Theta, as in the fit's objective, share it.  log phi,
+g, k and dg come from a StableKernel of the same beta; at beta = 1 that
 kernel is the closed-form Cauchy one, built on demand when none is given.
 Analytic gradient and Hessian:
 
@@ -50,27 +53,33 @@ def rate_exponent(h: float, beta: float) -> float:
     return float(np.exp((1.0 - 1.0 / beta) * np.log(h)))
 
 
-def _scale_and_residuals(
-    obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float
-):
-    """Scale coefficients c_{j-1} and Euler residuals eps_j, j = 1..n."""
+def _pass(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float):
+    """Scale coefficients c_{j-1}, Euler residuals eps_j, j = 1..n, and the
+    coefficient derivatives da_{j-1}, dc_{j-1} at theta.
+
+    The result is remembered on theta, keyed by the identity of obs and model
+    and by beta, so a second function evaluated at the same point reuses it.
+    """
+    memo = theta._memo
+    if memo is not None and memo[0] is obs and memo[1] is model and memo[2] == beta:
+        return memo[3]
     if obs.n < 1:
         raise DomainError("need at least one increment")
-    xl = obs.x[:-1]
-    a = model.drift(xl, theta.alpha)
-    c = model.scale(xl, theta.gamma)
+    a, c, da, dc = model.coefficients(obs.x[:-1], theta.alpha, theta.gamma)
     if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
         bad = int(np.argmax(~((c > 0.0) & np.isfinite(c))))
         raise ModelViolationError(
             f"scale coefficient non-positive at observation {bad}: c={float(c[bad])!r}"
         )
     eps = (np.diff(obs.x) - obs.h * a) / (obs.h ** (1.0 / beta) * c)
-    return c, eps
+    result = (c, eps, da, dc)
+    object.__setattr__(theta, "_memo", (obs, model, beta, result))
+    return result
 
 
 def residuals(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float) -> np.ndarray:
     """Euler residuals eps_j(theta), j = 1..n."""
-    return _scale_and_residuals(obs, model, theta, beta)[1]
+    return _pass(obs, model, theta, beta)[1]
 
 
 def quasi_loglik(
@@ -82,7 +91,7 @@ def quasi_loglik(
 ) -> float:
     """H(theta); finite for any admissible theta since phi > 0 everywhere."""
     kernel = _kernel_scores(beta, kernel)
-    c, eps = _scale_and_residuals(obs, model, theta, beta)
+    c, eps, _, _ = _pass(obs, model, theta, beta)
     return float(
         np.sum(kernel.log_density(eps) - np.log(c)) - obs.n / beta * np.log(obs.h)
     )
@@ -111,10 +120,7 @@ def quasi_score(
 ) -> np.ndarray:
     """Gradient of H(theta), length p_alpha + p_gamma."""
     kernel = _kernel_scores(beta, kernel)
-    c, eps = _scale_and_residuals(obs, model, theta, beta)
-    xl = obs.x[:-1]
-    da = model.drift_dalpha(xl, theta.alpha)
-    dc = model.scale_dgamma(xl, theta.gamma)
+    c, eps, da, dc = _pass(obs, model, theta, beta)
     hpow = rate_exponent(obs.h, beta)
     gv = kernel.g(eps)
     kv = 1.0 + eps * gv
@@ -132,11 +138,9 @@ def quasi_hessian(
 ) -> np.ndarray:
     """Symmetric Hessian of H(theta) from analytic second derivatives."""
     kernel = _kernel_scores(beta, kernel)
-    c, eps = _scale_and_residuals(obs, model, theta, beta)
+    c, eps, da, dc = _pass(obs, model, theta, beta)
     xl = obs.x[:-1]
-    da = model.drift_dalpha(xl, theta.alpha)
     dda = model.drift_ddalpha(xl, theta.alpha)
-    dc = model.scale_dgamma(xl, theta.gamma)
     ddc = model.scale_ddgamma(xl, theta.gamma)
     hpow = rate_exponent(obs.h, beta)
 
@@ -224,6 +228,7 @@ def fit(
     violations: list[str] = []
 
     def objective(vec):
+        # one Theta per evaluation: quasi_score reuses the pass quasi_loglik made
         theta = Theta.from_full(vec, model.p_alpha)
         try:
             return (

@@ -168,9 +168,9 @@ def _points(y) -> np.ndarray:
 
 
 # Cauchy closed forms through r = hypot(1, y), u = y / r and v = 1 / r, finite
-# for every finite y; 1 + y^2 itself overflows beyond |y| ~ 1e154.  log phi,
-# which every objective evaluation calls, keeps the four times cheaper
-# log1p(y^2) while all points lie below _CAUCHY_SQUARE_SAFE.
+# for every finite y; 1 + y^2 itself overflows beyond |y| ~ 1e154.  log phi
+# and g, which every objective evaluation and score call, keep the cheaper
+# forms in 1 + y^2 while all points lie below _CAUCHY_SQUARE_SAFE.
 _CAUCHY_SQUARE_SAFE = 1e150
 
 
@@ -181,6 +181,8 @@ def _cauchy_log_phi(y):
 
 
 def _cauchy_g(y):
+    if np.abs(y).max(initial=0.0) < _CAUCHY_SQUARE_SAFE:
+        return -2.0 * y / (1.0 + y * y)
     r = np.hypot(1.0, y)
     return -2.0 * (y / r) * (1.0 / r)
 

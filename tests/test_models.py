@@ -115,6 +115,31 @@ class TestDerivatives:
         assert model.scale_dgamma(x, [0.7]).shape == (1, 9)
 
 
+class TestCoefficients:
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_agrees_with_separate_evaluations(self, name):
+        model = build_model(name)
+        x = np.linspace(-2, 3, 41)
+        alpha = model.theta_true.alpha + 0.3
+        gamma = model.theta_true.gamma - 0.2
+        a, c, da, dc = model.coefficients(x, alpha, gamma)
+        expected = (
+            model.drift(x, alpha), model.scale(x, gamma),
+            model.drift_dalpha(x, alpha), model.scale_dgamma(x, gamma),
+        )
+        for got, want in zip((a, c, da, dc), expected):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_constants_broadcast(self):
+        model = build_model("ou-const")
+        x = np.linspace(-1, 1, 9)
+        a, c, da, dc = model.coefficients(x, [-1.0], [0.7])
+        assert c.shape == x.shape and np.all(c == 0.7)
+        assert dc.shape == (1, 9) and np.all(dc == 1.0)
+        assert da.shape == (1, 9) and np.array_equal(da[0], x)
+
+
 class TestBoundsHelpers:
     def test_describe(self, nonlinear_1d):
         d = nonlinear_1d.describe()

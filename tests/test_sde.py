@@ -96,7 +96,7 @@ class TestSimulateFine:
         ref = reference_path(model, 0.5, T / n_fine, inc)
         assert np.max(np.abs(fine.x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("jump_at", [10, 6000])
+    @pytest.mark.parametrize("jump_at", [10, 4095, 6000])
     @pytest.mark.parametrize(
         "drift, scale, theta, x0, jump, cause",
         [
@@ -124,6 +124,24 @@ class TestSimulateFine:
                           RngStream(0, 0), increments=inc)
         assert exc.value.step == first_bad
         assert isinstance(exc.value.__cause__, cause)
+
+    def test_silent_overflow_reports_first_non_finite_step(self):
+        # float addition reaches inf without a math exception: the chunk's
+        # finiteness check, not the walk, finds it
+        model = build_model(
+            drift="a1*x", scale="g1", p_alpha=1, p_gamma=1,
+            bounds=[(-5, 5), (-5, 5)], theta_true=[-1.0, 1.0],
+        )
+        n_fine = 10000
+        inc = np.zeros(n_fine)
+        inc[[6000, 6001]] = 1e308
+        ref = reference_path(model, 0.0, 1.0 / n_fine, inc)
+        first_bad = int(np.flatnonzero(~np.isfinite(ref))[0])
+        with pytest.raises(SimulationOverflowError) as exc:
+            simulate_fine(model, NoiseSpec("stable", beta=1.5), 1.0, n_fine, 0.0,
+                          RngStream(0, 0), increments=inc)
+        assert exc.value.step == first_bad
+        assert exc.value.__cause__ is None
 
     def test_requires_theta_true(self):
         model = build_model(drift="a1*x", scale="g1", p_alpha=1, p_gamma=1,

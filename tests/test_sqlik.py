@@ -1,11 +1,14 @@
 """Quasi-likelihood objective, analytic derivatives, and the fitter."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from stableql import sqlik
 from stableql.errors import DomainError, ModelViolationError, OptimizationError
-from stableql.models import Theta, build_model
+from stableql.models import ModelSpec, Theta, build_model
 from stableql.samplers import NoiseSpec, RngStream
 from stableql.sde import ObservationSeries, simulate_fine, thin
 from stableql.sqlik import (
@@ -17,10 +20,21 @@ from stableql.sqlik import (
     rate_exponent,
     residuals,
 )
+from stableql.stable_core import StableKernel
 
 
 def perturbed(model, shift):
     return Theta.from_full(model.theta_true.full + shift, model.p_alpha)
+
+
+def counting(calls, name, function):
+    """function, appending name to calls on every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    return counted
 
 
 class TestResiduals:
@@ -134,10 +148,81 @@ class TestDerivatives:
                               monkeypatch):
         # k = 1 + eps g comes from the same g values, not from a second kernel call
         calls = []
-        g = kernel15.g
-        monkeypatch.setattr(kernel15, "g", lambda y: calls.append(y) or g(y))
+        # patched on the class: undoing an instance patch would leave the bound
+        # method behind on the session kernel, hiding later class patches
+        monkeypatch.setattr(StableKernel, "g", counting(calls, "g", StableKernel.g))
         derivative(stable_series, nonlinear_1d, perturbed(nonlinear_1d, 0.1), 1.5, kernel15)
         assert len(calls) == 1
+
+
+class TestOnePass:
+    def test_loglik_then_score_share_one_pass(self, stable_series, nonlinear_1d,
+                                              kernel15, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ModelSpec, "coefficients",
+                            counting(calls, "pass", ModelSpec.coefficients))
+        theta = perturbed(nonlinear_1d, 0.1)
+        quasi_loglik(stable_series, nonlinear_1d, theta, 1.5, kernel15)
+        quasi_score(stable_series, nonlinear_1d, theta, 1.5, kernel15)
+        quasi_hessian(stable_series, nonlinear_1d, theta, 1.5, kernel15)
+        assert len(calls) == 1
+        # another beta is another pass
+        quasi_score(stable_series, nonlinear_1d, theta, 1.0)
+        assert len(calls) == 2
+
+    def test_theta_on_a_second_series_gets_its_own_score(
+        self, stable_series, nig_series, nonlinear_1d, kernel15
+    ):
+        theta = perturbed(nonlinear_1d, 0.1)
+        quasi_score(stable_series, nonlinear_1d, theta, 1.5, kernel15)
+        reused = quasi_score(nig_series, nonlinear_1d, theta, 1.5, kernel15)
+        fresh = quasi_score(nig_series, nonlinear_1d, perturbed(nonlinear_1d, 0.1),
+                            1.5, kernel15)
+        assert np.array_equal(reused, fresh)
+        first = quasi_score(stable_series, nonlinear_1d, theta, 1.5, kernel15)
+        assert not np.array_equal(first, fresh)
+
+    def test_theta_is_read_only(self, nonlinear_1d):
+        vec = nonlinear_1d.theta_true.full
+        theta = Theta.from_full(vec, nonlinear_1d.p_alpha)
+        vec[0] += 1.0
+        assert theta.alpha[0] == nonlinear_1d.theta_true.alpha[0]
+        with pytest.raises(ValueError):
+            theta.alpha[0] = 0.0
+
+    def test_theta_pickles_without_its_pass(self, stable_series, nonlinear_1d, kernel15):
+        # the remembered pass holds the model, whose compiled functions do not pickle
+        theta = perturbed(nonlinear_1d, 0.1)
+        score = quasi_score(stable_series, nonlinear_1d, theta, 1.5, kernel15)
+        copy = pickle.loads(pickle.dumps(theta))
+        assert np.array_equal(copy.full, theta.full) and copy._memo is None
+        assert np.array_equal(
+            quasi_score(stable_series, nonlinear_1d, copy, 1.5, kernel15), score
+        )
+
+    def test_fit_makes_one_pass_per_evaluation(self, stable_series, nonlinear_1d,
+                                               kernel15, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ModelSpec, "coefficients",
+                            counting(calls, "pass", ModelSpec.coefficients))
+        result = fit(stable_series, nonlinear_1d, 1.5, kernel15,
+                     OptimizerConfig(restarts=2), RngStream(1, 2))
+        assert len(calls) == result.n_evals
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5])
+    def test_fit_call_sites(self, beta, stable_series, nonlinear_1d, kernel1, kernel15,
+                            monkeypatch):
+        # the benchmark's tracer counts the fit's likelihood and kernel calls
+        # through these four attributes; each must be called once per evaluation
+        calls = []
+        for owner, name in [(sqlik, "quasi_loglik"), (sqlik, "quasi_score"),
+                            (StableKernel, "log_density"), (StableKernel, "g")]:
+            monkeypatch.setattr(owner, name, counting(calls, name, getattr(owner, name)))
+        kernel = kernel1 if beta == 1.0 else kernel15
+        result = fit(stable_series, nonlinear_1d, beta, kernel,
+                     OptimizerConfig(restarts=2), RngStream(1, 2))
+        for name in ("quasi_loglik", "quasi_score", "log_density", "g"):
+            assert calls.count(name) == result.n_evals, name
 
 
 class TestFit:

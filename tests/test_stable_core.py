@@ -152,6 +152,15 @@ class TestScores:
         # dg = -2 v^2 (v^2 - u^2) cancels near |y| = 1: a few ulp of |dg| <= 2
         np.testing.assert_allclose(kernel1.dg(y), -2.0 * (1.0 - y * y) / s**2, rtol=0, atol=4e-15)
 
+    def test_cauchy_g_square_form_matches_hypot_form(self, kernel1):
+        # one far point moves g off -2y/(1+y^2) onto its hypot form; they
+        # agree to two ulp of |g| <= 1, 4.44e-16
+        y = np.concatenate([np.linspace(-1e3, 1e3, 20001), np.linspace(-3, 3, 6001)])
+        hypot_form = kernel1.g(np.append(y, 1e300))[:-1]
+        np.testing.assert_allclose(
+            kernel1.g(y), hypot_form, rtol=0, atol=2 * np.finfo(float).eps
+        )
+
 
 class TestInfoConstants:
     def test_beta_one_exact(self, kernel1):
