@@ -36,7 +36,7 @@ from .errors import (
     UsageError,
 )
 from .harness import PRESETS, preset_config, run_experiment
-from .inference import confidence_intervals
+from .inference import confidence_intervals, studentize
 from .llt import invert_density, l1_distance, rate_fit
 from .models import MODEL_REGISTRY, Theta, build_model
 from .samplers import NoiseSpec, RngStream
@@ -181,7 +181,8 @@ def _cmd_fit(args) -> int:
     kernel = StableKernel(args.beta)
     opt = OptimizerConfig(restarts=args.restarts)
     result = fit_series(obs, model, args.beta, kernel, opt, RngStream(args.seed, 0))
-    ci = confidence_intervals(obs, model, result.theta_hat, args.beta, args.level, kernel=kernel)
+    pivots = studentize(obs, model, result.theta_hat, result.theta_hat, kernel)
+    ci = confidence_intervals(pivots, args.level)
     report = {
         "model": model.describe(),
         "beta": args.beta,

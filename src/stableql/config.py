@@ -166,7 +166,7 @@ def experiment_from_config(cfg: dict) -> ExperimentConfig:
         if key in cfg:
             return builder(cfg[key]) if builder else cfg[key]
         if base is not None:
-            return getattr(base, key if key != "noise" else "noise")
+            return getattr(base, key)
         if fallback is _REQUIRED:
             raise UsageError(f"config needs a {key!r} entry")
         return fallback

@@ -33,7 +33,7 @@ from .inference import confidence_intervals, studentize
 from .models import ModelSpec, build_model
 from .samplers import NoiseSpec, RngStream
 from .sde import simulate_fine, thin
-from .sqlik import OptimizerConfig, fit
+from .sqlik import OptimizerConfig, _start_box, fit
 from .stable_core import StableKernel
 
 __all__ = [
@@ -165,7 +165,6 @@ def _cached_context(config: ExperimentConfig):
 def _run_replicate(config: ExperimentConfig, rep: int) -> list[dict]:
     """All designs for one replicate; shares a fine path per (T, n_fine)."""
     model, kernel = _cached_context(config)
-    constants = kernel.info_constants()
     stream_id = config.base_seed ^ rep
     records = []
     groups: dict = {}
@@ -198,13 +197,9 @@ def _run_replicate(config: ExperimentConfig, rep: int) -> list[dict]:
                         config.optimizer, rng.substream(d_idx),
                     )
                     report = studentize(
-                        obs, model, result.theta_hat, model.theta_true,
-                        config.beta_fit, constants, kernel,
+                        obs, model, result.theta_hat, model.theta_true, kernel,
                     )
-                    ci = confidence_intervals(
-                        obs, model, result.theta_hat, config.beta_fit,
-                        0.95, constants, kernel,
-                    )
+                    ci = confidence_intervals(report, 0.95)
                     theta0 = model.theta_true.full
                     rec["theta"] = result.theta_hat.full
                     rec["z"] = report.z
@@ -336,6 +331,7 @@ def run_experiment(
     model, _ = _cached_context(config)
     if model.theta_true is None:
         raise UsageError("experiments need a model with theta_true")
+    _start_box(model, config.optimizer.init_windows)
     p = model.p
 
     tasks = [(config, rep) for rep in range(config.replicates)]

@@ -12,8 +12,11 @@ are asymptotically standard normal, where
     Sig_gamma = (1/n) sum_j (dc_{j-1} dc_{j-1}^T) / c_{j-1}^2
 
 are the empirical information matrices evaluated at the estimate, and
-C_alpha, C_gamma are the scalar kernel information constants.  Confidence
-intervals invert the pivots coordinatewise.
+C_alpha, C_gamma are the scalar kernel information constants.  One
+``studentize(obs, model, theta_hat, theta_ref, kernel)`` call computes all of
+these once, taking beta and the constants from the kernel, and
+``confidence_intervals(report, level)`` inverts the pivots of that report
+coordinatewise without computing them again.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import NumericError
 from .models import ModelSpec, Theta
 from .sde import ObservationSeries
 from .sqlik import rate_exponent
-from .stable_core import InfoConstants, StableKernel
+from .stable_core import StableKernel
 
 __all__ = [
     "StudentizedReport",
@@ -67,8 +70,9 @@ def empirical_information(
 
 @dataclass(frozen=True)
 class StudentizedReport:
-    """Pivots and the scaling matrices that produced them."""
+    """Pivots of theta_hat and the scaling matrices that produced them."""
 
+    theta_hat: Theta
     z_alpha: np.ndarray
     z_gamma: np.ndarray
     sig_alpha: np.ndarray
@@ -86,27 +90,25 @@ def studentize(
     model: ModelSpec,
     theta_hat: Theta,
     theta_ref: Theta,
-    beta: float,
-    constants: InfoConstants | None = None,
-    kernel: StableKernel | None = None,
+    kernel: StableKernel,
 ) -> StudentizedReport:
     """Studentized pivots of theta_hat around a reference value.
 
-    With theta_ref equal to the data-generating parameter the pivots are
-    asymptotically N(0, I).  Information matrices are evaluated at theta_hat,
-    which is all that is available in practice.
+    beta is the kernel's, and C_alpha, C_gamma are its (cached) information
+    constants.  With theta_ref equal to the data-generating parameter the
+    pivots are asymptotically N(0, I).  Information matrices are evaluated at
+    theta_hat, which is all that is available in practice.
     """
-    if constants is None:
-        kernel = kernel or StableKernel(beta)
-        constants = kernel.info_constants()
+    constants = kernel.info_constants()
     sig_a, sig_g = empirical_information(obs, model, theta_hat)
     root_a = np.sqrt(constants.c_alpha) * psd_sqrt(sig_a)
     root_g = np.sqrt(constants.c_gamma) * psd_sqrt(sig_g)
-    rate_a = np.sqrt(obs.n) * rate_exponent(obs.h, beta)
+    rate_a = np.sqrt(obs.n) * rate_exponent(obs.h, kernel.beta)
     rate_g = np.sqrt(obs.n)
     z_a = rate_a * root_a @ (theta_hat.alpha - theta_ref.alpha)
     z_g = rate_g * root_g @ (theta_hat.gamma - theta_ref.gamma)
     return StudentizedReport(
+        theta_hat=theta_hat,
         z_alpha=z_a,
         z_gamma=z_g,
         sig_alpha=sig_a,
@@ -116,31 +118,21 @@ def studentize(
     )
 
 
-def confidence_intervals(
-    obs: ObservationSeries,
-    model: ModelSpec,
-    theta_hat: Theta,
-    beta: float,
-    level: float = 0.95,
-    constants: InfoConstants | None = None,
-    kernel: StableKernel | None = None,
-) -> np.ndarray:
-    """Coordinatewise (lower, upper) bounds, shape (p, 2).
+def confidence_intervals(report: StudentizedReport, level: float = 0.95) -> np.ndarray:
+    """Coordinatewise (lower, upper) bounds around report.theta_hat, shape (p, 2).
 
-    Each half-width is q * sqrt(diag(M^-2)) where M is the full pivot scaling
-    matrix and q the standard normal quantile; this inverts the marginal of
-    the joint pivot rather than treating coordinates as independent.
+    Each half-width is q * sqrt(diag(M^-2)) where M is the report's pivot
+    scaling matrix of the block and q the standard normal quantile; this
+    inverts the marginal of the joint pivot rather than treating coordinates
+    as independent.
     """
     if not 0.0 < level < 1.0:
         raise NumericError(f"confidence level must be in (0,1), got {level}")
-    rep = studentize(obs, model, theta_hat, theta_hat, beta, constants, kernel)
     q = ndtri(0.5 + level / 2.0)
-    out = np.empty((model.p, 2))
-    for scale, sl in ((rep.scale_alpha, slice(0, model.p_alpha)),
-                      (rep.scale_gamma, slice(model.p_alpha, model.p))):
+    center = report.theta_hat.full
+    sds = []
+    for scale in (report.scale_alpha, report.scale_gamma):
         inv = np.linalg.inv(scale)
-        sd = np.sqrt(np.diag(inv @ inv.T))
-        center = theta_hat.full[sl]
-        out[sl, 0] = center - q * sd
-        out[sl, 1] = center + q * sd
-    return out
+        sds.append(np.sqrt(np.diag(inv @ inv.T)))
+    sd = np.concatenate(sds)
+    return np.column_stack([center - q * sd, center + q * sd])

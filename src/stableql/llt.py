@@ -254,10 +254,15 @@ def rate_fit(
 ) -> RateFit:
     """Fit the L1 decay slope over a decreasing sequence of h values.
 
-    Distances indistinguishable from quadrature noise (below 1e-8) are
-    excluded from the regression, as is the largest h when the quadratic
-    curvature of the log-log relation exceeds 0.1 (rates are asymptotic).
+    The kernel must be the stable limit of cf, of the same beta.  Distances
+    indistinguishable from quadrature noise (below 1e-8) are excluded from
+    the regression, as is the largest h when the quadratic curvature of the
+    log-log relation exceeds 0.1 (rates are asymptotic).
     """
+    if kernel.beta != cf.beta:
+        raise DomainError(
+            f"kernel is for beta={kernel.beta}, but the cf model has beta={cf.beta}"
+        )
     h_values = np.asarray(sorted(h_values, reverse=True), float)
     if len(h_values) < 4:
         raise UsageError("rate_fit needs at least 4 h values")

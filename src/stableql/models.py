@@ -5,11 +5,14 @@ parameter derivatives, a bounded box of admissible parameters, and an
 optional true value used by the simulators.  Models are defined by sympy
 expressions in the variable ``x`` and parameters ``a1..ap`` / ``g1..gq``;
 derivatives come from symbolic differentiation, so user-defined expression
-models get analytic scores for free.  Both hot paths are compiled once, at
-construction: ``coefficients`` evaluates a, c and their first derivatives
-in one numpy pass with common subexpressions shared, and a model with a
-true value carries its Euler walk at that value, a scalar ``math`` loop
-for the simulators.
+models get analytic scores for free.  Everything is compiled once, at
+construction, one numpy function per parameter block and derivative order:
+the drift block (a, da), the scale block (c, dc), and the second
+derivatives dda and ddc, each evaluated in one pass with common
+subexpressions shared.  ``coefficients`` and the six named methods
+(``drift``, ``scale``, ``drift_dalpha``, ...) are slices of these four.  A
+model with a true value also carries its Euler walk at that value, a scalar
+``math`` loop for the simulators.
 
 Because lambdified functions do not pickle, a ModelSpec carries its
 defining expressions and can be rebuilt in worker processes via
@@ -75,26 +78,18 @@ def _like_x(val, x: np.ndarray) -> np.ndarray:
     return val if val.shape == x.shape else np.broadcast_to(val, x.shape).copy()
 
 
-def _lambdify_coefficients(a_sym, c_sym, da, dc, args):
-    """f(x, alpha, gamma) -> (a, c, da, dc), one numpy pass with shared subexpressions."""
-    func = sp.lambdify(args, [a_sym, c_sym, *da, *dc], modules="numpy", cse=True)
-    p_alpha = len(da)
+def _lambdify_block(exprs, args):
+    """f(x, params) -> list of arrays of x's shape, one per expression.
 
-    def coefficients(x, alpha, gamma):
-        x = np.asarray(x, float)
-        a, c, *rest = (_like_x(v, x) for v in func(x, *alpha, *gamma))
-        return a, c, np.stack(rest[:p_alpha]), np.stack(rest[p_alpha:])
-
-    return coefficients
-
-
-def _lambdify_stack(exprs, args):
-    """Lambdify a list of expressions into f(x, params) -> array (len, n)."""
-    funcs = [sp.lambdify(args, e, modules="numpy") for e in exprs]
+    One numpy function lambdified with common subexpressions shared; a
+    constant expression, such as the derivative of the scale g1, is
+    broadcast to x.
+    """
+    func = sp.lambdify(args, exprs, modules="numpy", cse=True)
 
     def evaluate(x, params):
         x = np.asarray(x, float)
-        return np.stack([_like_x(f(x, *params), x) for f in funcs], axis=0)
+        return [_like_x(v, x) for v in func(x, *np.atleast_1d(params))]
 
     return evaluate
 
@@ -152,9 +147,10 @@ class ModelSpec:
     """Drift/scale pair with analytic parameter derivatives and a bounds box.
 
     ``coefficients(x, alpha, gamma)`` gives a, c and their first parameter
-    derivatives together, for the likelihood.  ``euler_walk(x, delta,
-    increments)`` is the Euler walk at ``theta_true`` on Python floats, or
-    None for a model without a true value.  Both are compiled here, once.
+    derivatives together, for the likelihood, from one call of the drift
+    block and one of the scale block.  ``euler_walk(x, delta, increments)``
+    is the Euler walk at ``theta_true`` on Python floats, or None for a model
+    without a true value.  All are compiled here, once.
     """
 
     def __init__(
@@ -211,16 +207,11 @@ class ModelSpec:
         dc = [sp.diff(c_sym, s) for s in gammas]
         ddc = [[sp.diff(c_sym, s, t) for t in gammas] for s in gammas]
 
-        args_a = (x, *alphas)
-        args_g = (x, *gammas)
-        self._a = sp.lambdify(args_a, a_sym, modules="numpy")
-        self._c = sp.lambdify(args_g, c_sym, modules="numpy")
-        self._da = _lambdify_stack(da, args_a)
-        self._dda = _lambdify_stack([e for row in dda for e in row], args_a)
-        self._dc = _lambdify_stack(dc, args_g)
-        self._ddc = _lambdify_stack([e for row in ddc for e in row], args_g)
         # Compiled here, not on first use, so that forked workers inherit them.
-        self._coefficients = _lambdify_coefficients(a_sym, c_sym, da, dc, (x, *alphas, *gammas))
+        self._drift_block = _lambdify_block([a_sym, *da], (x, *alphas))
+        self._scale_block = _lambdify_block([c_sym, *dc], (x, *gammas))
+        self._dda_block = _lambdify_block([e for row in dda for e in row], (x, *alphas))
+        self._ddc_block = _lambdify_block([e for row in ddc for e in row], (x, *gammas))
         self.euler_walk = None
         if theta_true is not None:
             values = dict(zip(alphas + gammas, theta_true.full))
@@ -229,38 +220,38 @@ class ModelSpec:
     # -- evaluation (vectorized over x) -----------------------------------
 
     def drift(self, x, alpha) -> np.ndarray:
-        x = np.asarray(x, float)
-        return _like_x(self._a(x, *np.atleast_1d(alpha)), x)
+        return self._drift_block(x, alpha)[0]
 
     def scale(self, x, gamma) -> np.ndarray:
-        x = np.asarray(x, float)
-        return _like_x(self._c(x, *np.atleast_1d(gamma)), x)
+        return self._scale_block(x, gamma)[0]
 
     def drift_dalpha(self, x, alpha) -> np.ndarray:
         """Shape (p_alpha, n)."""
-        return self._da(x, np.atleast_1d(alpha))
+        return np.stack(self._drift_block(x, alpha)[1:])
 
     def drift_ddalpha(self, x, alpha) -> np.ndarray:
         """Shape (p_alpha, p_alpha, n)."""
-        flat = self._dda(x, np.atleast_1d(alpha))
-        n = np.asarray(x, float).shape
-        return flat.reshape(self.p_alpha, self.p_alpha, *n)
+        flat = np.stack(self._dda_block(x, alpha))
+        return flat.reshape(self.p_alpha, self.p_alpha, *flat.shape[1:])
 
     def scale_dgamma(self, x, gamma) -> np.ndarray:
-        return self._dc(x, np.atleast_1d(gamma))
+        """Shape (p_gamma, n)."""
+        return np.stack(self._scale_block(x, gamma)[1:])
 
     def scale_ddgamma(self, x, gamma) -> np.ndarray:
-        flat = self._ddc(x, np.atleast_1d(gamma))
-        n = np.asarray(x, float).shape
-        return flat.reshape(self.p_gamma, self.p_gamma, *n)
+        """Shape (p_gamma, p_gamma, n)."""
+        flat = np.stack(self._ddc_block(x, gamma))
+        return flat.reshape(self.p_gamma, self.p_gamma, *flat.shape[1:])
 
     def coefficients(self, x, alpha, gamma):
-        """drift, scale, drift_dalpha and scale_dgamma at x from one pass.
+        """drift, scale, drift_dalpha and scale_dgamma at x, one call per block.
 
         a and c have x's shape, da and dc shapes (p_alpha, n) and
         (p_gamma, n); constants, such as the scale g1, are broadcast to them.
         """
-        return self._coefficients(x, np.atleast_1d(alpha), np.atleast_1d(gamma))
+        a, *da = self._drift_block(x, alpha)
+        c, *dc = self._scale_block(x, gamma)
+        return a, c, np.stack(da), np.stack(dc)
 
     # -- misc --------------------------------------------------------------
 

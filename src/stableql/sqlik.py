@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DomainError, ModelViolationError, OptimizationError
+from .errors import DomainError, ModelViolationError, OptimizationError, UsageError
 from .models import ModelSpec, Theta
 from .samplers import RngStream
 from .sde import ObservationSeries
@@ -191,6 +191,33 @@ class FitResult:
     score_norm: float
 
 
+def _start_box(model: ModelSpec, windows) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) of the box multistart points are drawn from: each init
+    window intersected with its bounds interval, or the bounds box itself.
+
+    Raises UsageError unless there is one window per parameter and every
+    intersection is a non-empty interval.
+    """
+    lo = np.array([b[0] for b in model.bounds])
+    hi = np.array([b[1] for b in model.bounds])
+    if windows is None:
+        return lo, hi
+    if len(windows) != model.p:
+        raise UsageError(
+            f"init_windows needs one window per parameter ({model.p}), got {len(windows)}"
+        )
+    wlo = np.maximum(lo, [w[0] for w in windows])
+    whi = np.minimum(hi, [w[1] for w in windows])
+    empty = np.flatnonzero(~(wlo < whi))
+    if empty.size:
+        i = int(empty[0])
+        raise UsageError(
+            f"init window {tuple(windows[i])} of parameter {i + 1} leaves no "
+            f"interval inside its bounds {model.bounds[i]}"
+        )
+    return wlo, whi
+
+
 def fit(
     obs: ObservationSeries,
     model: ModelSpec,
@@ -208,14 +235,7 @@ def fit(
     rng = rng or RngStream(0, 0)
     kernel = _kernel_scores(beta, kernel)
 
-    lo = np.array([b[0] for b in model.bounds])
-    hi = np.array([b[1] for b in model.bounds])
-    windows = opt.init_windows
-    if windows is None:
-        wlo, whi = lo, hi
-    else:
-        wlo = np.maximum(lo, [w[0] for w in windows])
-        whi = np.minimum(hi, [w[1] for w in windows])
+    wlo, whi = _start_box(model, opt.init_windows)
     gen = rng.generator(purpose=7)
     inits = gen.uniform(wlo, whi, size=(max(1, opt.restarts), model.p))
     dn = np.concatenate(
@@ -248,7 +268,7 @@ def fit(
             start,
             jac=True,
             method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
+            bounds=model.bounds,
             options={"maxiter": ITER_LIMIT},
         )
         n_evals += int(res.nfev)

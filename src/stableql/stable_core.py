@@ -297,9 +297,9 @@ class StableKernel:
             out[far] = self._tail(y[far])[part]
         return out
 
-    def tail_mass(self, y0: float | None = None) -> float:
-        """Analytic mass of the tail series on (y0, inf); default y0=cutoff."""
-        y0 = self.tail_cutoff if y0 is None else float(y0)
+    def tail_mass(self) -> float:
+        """Analytic mass of the tail series on (tail_cutoff, inf)."""
+        y0 = self.tail_cutoff
         ks = np.arange(1, self._tail_coeffs.size + 1)
         return float(np.sum(self._tail_coeffs / (ks * self.beta) * y0 ** (-(ks * self.beta))))
 

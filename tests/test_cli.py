@@ -132,6 +132,15 @@ class TestMc:
         assert code == 1
         assert "repliactes" in err
 
+    def test_init_windows_disjoint_from_bounds(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "mc", "--preset", "nig-1d", "--replicates", "1", "--workers", "1",
+            "--set", "optimizer.init_windows=[[-2, 0], [40, 50]]",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "init window" in err
+
     def test_partial_failure_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "fail.yaml"
         cfg.write_text(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stableql import harness
+from stableql import harness, inference
 from stableql.errors import (
     DomainError,
     PartialFailureError,
@@ -137,6 +137,30 @@ class TestRunExperiment:
         monkeypatch.setattr(ExperimentConfig, "build_model", counting)
         run_experiment(config, tmp_path / "b", workers=1)
         assert builds == []
+
+    def test_one_studentization_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        information = inference.empirical_information
+
+        def counting(*args):
+            calls.append(args)
+            return information(*args)
+
+        monkeypatch.setattr(inference, "empirical_information", counting)
+        config = small_config(replicates=2)
+        out = run_experiment(config, tmp_path / "once", workers=1)
+        rows = read_rows(out / "replicates.csv")
+        assert len(rows) == 4 and all(r["converged"] == "1" for r in rows)
+        assert len(calls) == len(rows)
+
+    def test_init_windows_checked_before_any_replicate(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(harness, "_run_replicate", forbidden)
+        config = small_config(optimizer=OptimizerConfig(restarts=2, init_windows=((-2, 0),)))
+        with pytest.raises(UsageError, match="one window per parameter"):
+            run_experiment(config, tmp_path / "windows", workers=1)
 
     def test_failure_threshold(self, tmp_path):
         config = small_config(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import stableql
+from stableql import inference
 from stableql.errors import NumericError
 from stableql.inference import (
     confidence_intervals,
@@ -64,14 +65,14 @@ class TestEmpiricalInformation:
 class TestStudentize:
     def test_zero_at_reference(self, stable_series, nonlinear_1d, kernel15):
         theta = nonlinear_1d.theta_true
-        rep = studentize(stable_series, nonlinear_1d, theta, theta, 1.5, kernel=kernel15)
+        rep = studentize(stable_series, nonlinear_1d, theta, theta, kernel15)
         assert np.allclose(rep.z, 0.0)
 
     def test_linear_in_deviation(self, stable_series, nonlinear_1d, kernel15):
         theta0 = nonlinear_1d.theta_true
         shift = np.array([0.02, -0.03])
         th = Theta.from_full(theta0.full + shift, 1)
-        rep = studentize(stable_series, nonlinear_1d, th, theta0, 1.5, kernel=kernel15)
+        rep = studentize(stable_series, nonlinear_1d, th, theta0, kernel15)
         assert rep.z_alpha[0] == pytest.approx(rep.scale_alpha[0, 0] * shift[0])
         assert rep.z_gamma[0] == pytest.approx(rep.scale_gamma[0, 0] * shift[1])
 
@@ -79,7 +80,7 @@ class TestStudentize:
         # alpha pivot scales with sqrt(n) h^{1-1/beta}, gamma with sqrt(n)
         theta0 = nonlinear_1d.theta_true
         th = Theta.from_full(theta0.full + 0.01, 1)
-        rep = studentize(stable_series, nonlinear_1d, th, theta0, 1.5, kernel=kernel15)
+        rep = studentize(stable_series, nonlinear_1d, th, theta0, kernel15)
         n, h = stable_series.n, stable_series.h
         const = kernel15.info_constants()
         sig_a, sig_g = empirical_information(stable_series, nonlinear_1d, th)
@@ -96,25 +97,46 @@ class TestConfidenceIntervals:
                                                      nonlinear_1d, kernel15):
         opt = OptimizerConfig(restarts=3)
         result = fit(stable_series, nonlinear_1d, 1.5, kernel15, opt, RngStream(5, 0))
-        ci95 = confidence_intervals(stable_series, nonlinear_1d, result.theta_hat,
-                                    1.5, 0.95, kernel=kernel15)
-        ci99 = confidence_intervals(stable_series, nonlinear_1d, result.theta_hat,
-                                    1.5, 0.99, kernel=kernel15)
+        rep = studentize(stable_series, nonlinear_1d, result.theta_hat,
+                         nonlinear_1d.theta_true, kernel15)
+        ci95 = confidence_intervals(rep, 0.95)
+        ci99 = confidence_intervals(rep, 0.99)
+        assert np.array_equal(confidence_intervals(rep), ci95)
         mid = result.theta_hat.full
         assert np.all(ci95[:, 0] < mid) and np.all(mid < ci95[:, 1])
         assert np.all(ci99[:, 0] < ci95[:, 0]) and np.all(ci95[:, 1] < ci99[:, 1])
 
+    def test_inverts_the_report_alone(self, stable_series, nonlinear_1d, kernel15,
+                                      monkeypatch):
+        # the half-widths are q sqrt(diag(M^-2)) of the report's own scale
+        # matrices, whatever theta_ref the report was made around
+        from stableql import inference
+
+        th = Theta.from_full(nonlinear_1d.theta_true.full + 0.05, 1)
+        rep = studentize(stable_series, nonlinear_1d, th, nonlinear_1d.theta_true, kernel15)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("confidence_intervals recomputed the pivots")
+
+        monkeypatch.setattr(inference, "studentize", forbidden)
+        monkeypatch.setattr(inference, "empirical_information", forbidden)
+        ci = confidence_intervals(rep, 0.9)
+        q = 1.6448536269514722
+        half = q / np.concatenate([np.diag(rep.scale_alpha), np.diag(rep.scale_gamma)])
+        assert np.allclose(ci[:, 0], th.full - half, rtol=1e-14, atol=0)
+        assert np.allclose(ci[:, 1], th.full + half, rtol=1e-14, atol=0)
+
     def test_invalid_level(self, stable_series, nonlinear_1d, kernel15):
+        theta = nonlinear_1d.theta_true
+        rep = studentize(stable_series, nonlinear_1d, theta, theta, kernel15)
         with pytest.raises(NumericError):
-            confidence_intervals(stable_series, nonlinear_1d,
-                                 nonlinear_1d.theta_true, 1.5, 1.5, kernel=kernel15)
+            confidence_intervals(rep, 1.5)
 
 
 class TestPivotDistribution:
     def test_pivots_near_standard_normal(self, kernel1):
         # moderate replication sanity check of the mixed-normal limit
         model = build_model("nonlinear-1d")
-        const = kernel1.info_constants()
         zs = []
         for rep in range(30):
             rng = RngStream(99, rep)
@@ -125,8 +147,7 @@ class TestPivotDistribution:
                 init_windows=tuple((t - 10, t + 10) for t in model.theta_true.full),
             )
             result = fit(obs, model, 1.0, kernel1, opt, rng)
-            rep_s = studentize(obs, model, result.theta_hat, model.theta_true,
-                               1.0, const, kernel1)
+            rep_s = studentize(obs, model, result.theta_hat, model.theta_true, kernel1)
             zs.append(rep_s.z)
         zs = np.array(zs)
         assert np.max(np.abs(zs.mean(axis=0))) < 0.6

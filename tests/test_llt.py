@@ -196,6 +196,11 @@ class TestRateFit:
         assert math.isnan(result.slope)
         assert len(result.excluded_h) == len(self.H_VALUES)
 
+    def test_kernel_beta_must_match(self, kernel1):
+        cf = CfModel("tempered_stable", 1.5, lambda_tempering=1.0)
+        with pytest.raises(DomainError, match="kernel is for beta=1.0"):
+            rate_fit(cf, kernel1, self.H_VALUES)
+
     def test_preconditions(self, kernel15):
         cf = CfModel("tempered_stable", 1.5, lambda_tempering=1.0)
         with pytest.raises(UsageError):

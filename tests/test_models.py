@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy
 
 from stableql.errors import DomainError, UsageError
 from stableql.models import MODEL_REGISTRY, ModelSpec, Theta, build_model
@@ -115,21 +116,69 @@ class TestDerivatives:
         assert model.scale_dgamma(x, [0.7]).shape == (1, 9)
 
 
+def _by_hand(name, x, alpha, gamma):
+    """(a, c, da, dc, dda, ddc) of a registry model, written out in numpy."""
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    if name == "nonlinear-2d":
+        (a1, a2), (g1, g2) = alpha, gamma
+        cos, sin = np.cos(x), np.sin(x)
+        c = np.exp(g1 * cos + g2 * sin)
+        return (
+            a1 * x + a2 / (1 + x**2), c,
+            [x, 1 / (1 + x**2)], [cos * c, sin * c],
+            [[zero, zero], [zero, zero]],
+            [[cos * cos * c, cos * sin * c], [sin * cos * c, sin * sin * c]],
+        )
+    (a1,), (g1,) = alpha, gamma
+    if name == "nonlinear-1d":
+        cos = np.cos(x)
+        c = np.exp(g1 * cos)
+        return a1 * x, c, [x], [cos * c], [[zero]], [[cos * cos * c]]
+    if name == "ou-const":
+        return a1 * x, g1 * one, [x], [one], [[zero]], [[zero]]
+    assert name == "ou-expscale"
+    c = np.exp(g1) * one
+    return a1 * x, c, [x], [c], [[zero]], [[c]]
+
+
 class TestCoefficients:
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-    def test_agrees_with_separate_evaluations(self, name):
+    def test_every_evaluation_matches_hand_written_formulas(self, name):
         model = build_model(name)
         x = np.linspace(-2, 3, 41)
         alpha = model.theta_true.alpha + 0.3
         gamma = model.theta_true.gamma - 0.2
-        a, c, da, dc = model.coefficients(x, alpha, gamma)
-        expected = (
-            model.drift(x, alpha), model.scale(x, gamma),
-            model.drift_dalpha(x, alpha), model.scale_dgamma(x, gamma),
-        )
-        for got, want in zip((a, c, da, dc), expected):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        a, c, da, dc, dda, ddc = (np.asarray(v) for v in _by_hand(name, x, alpha, gamma))
+        got = {
+            "coefficients": model.coefficients(x, alpha, gamma),
+            "named": (
+                model.drift(x, alpha), model.scale(x, gamma),
+                model.drift_dalpha(x, alpha), model.scale_dgamma(x, gamma),
+            ),
+        }
+        for path, values in got.items():
+            for value, want in zip(values, (a, c, da, dc)):
+                assert value.shape == want.shape, path
+                np.testing.assert_allclose(value, want, rtol=1e-14, atol=0, err_msg=path)
+        for value, want in ((model.drift_ddalpha(x, alpha), dda),
+                            (model.scale_ddgamma(x, gamma), ddc)):
+            assert value.shape == want.shape
+            np.testing.assert_allclose(value, want, rtol=1e-14, atol=0)
+
+    def test_four_compiled_blocks(self, monkeypatch):
+        # drift with its first derivatives, scale with its first derivatives,
+        # and the two blocks of second derivatives; the Euler walk is exec'd
+        calls = []
+        lambdify = sympy.lambdify
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return lambdify(*args, **kwargs)
+
+        monkeypatch.setattr(sympy, "lambdify", counting)
+        model = build_model("nonlinear-2d")
+        assert len(calls) == 4
+        assert model.euler_walk is not None
 
     def test_constants_broadcast(self):
         model = build_model("ou-const")

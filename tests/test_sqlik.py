@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from stableql import sqlik
-from stableql.errors import DomainError, ModelViolationError, OptimizationError
+from stableql.errors import DomainError, ModelViolationError, OptimizationError, UsageError
 from stableql.models import ModelSpec, Theta, build_model
 from stableql.samplers import NoiseSpec, RngStream
 from stableql.sde import ObservationSeries, simulate_fine, thin
@@ -263,6 +263,21 @@ class TestFit:
     def test_kernel_beta_must_match(self, stable_series, nonlinear_1d, kernel1):
         with pytest.raises(DomainError, match="kernel"):
             fit(stable_series, nonlinear_1d, 1.5, kernel1, OptimizerConfig(restarts=1))
+
+    @pytest.mark.parametrize(
+        "windows,message",
+        [
+            (((-2.0, 0.0),), "one window per parameter"),
+            (((-2.0, 0.0), (-2.0, 0.0), (1.0, 2.0)), "one window per parameter"),
+            (((-2.0, 0.0), (-2.0, 0.0), (20.0, 30.0), (0.0, 1.0)), "parameter 3"),
+        ],
+        ids=["one-window", "three-windows", "disjoint-window"],
+    )
+    def test_init_windows_checked_against_model(self, nig_series, nonlinear_2d, kernel1,
+                                                windows, message):
+        opt = OptimizerConfig(restarts=2, init_windows=windows)
+        with pytest.raises(UsageError, match=message):
+            fit(nig_series, nonlinear_2d, 1.0, kernel1, opt)
 
     def test_simplex_finds_no_higher_value(self, stable_series, nonlinear_1d, kernel15):
         """Derivative-free cross-check: Nelder-Mead started near the winner."""
