@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import apply_overrides, experiment_from_config, llt_from_config, load_config
+from .config import _model, apply_overrides, experiment_from_config, llt_from_config, load_config
 from .errors import (
     DomainError,
     ModelViolationError,
@@ -35,10 +35,10 @@ from .errors import (
     SimulationOverflowError,
     UsageError,
 )
-from .harness import PRESETS, preset_config, run_experiment
+from .harness import PRESETS, run_experiment
 from .inference import confidence_intervals, studentize
-from .llt import invert_density, l1_distance, rate_fit
-from .models import MODEL_REGISTRY, Theta, build_model
+from .llt import rate_fit
+from .models import MODEL_REGISTRY, build_model
 from .samplers import NoiseSpec, RngStream
 from .sde import ObservationSeries, simulate_fine, thin
 from .sqlik import OptimizerConfig, fit as fit_series
@@ -105,11 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
     src.add_argument("--config", help="YAML experiment config")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--replicates", type=int, default=None, help="override replicate count")
+    p.add_argument("--replicates", type=int, default=None, help="same as --set replicates=N")
     p.add_argument("--workers", type=int, default=None, help="parallel worker count")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="dotted config override, repeatable")
-    p.add_argument("--seed", type=int, default=None, help="override the base seed")
+    p.add_argument("--seed", type=int, default=None, help="same as --set base_seed=N")
 
     p = sub.add_parser("llt", help="local limit L1 distances and rate fit")
     p.add_argument("--config", default=None, help="YAML local-limit config")
@@ -172,10 +172,8 @@ def _read_series(path: str) -> ObservationSeries:
 def _cmd_fit(args) -> int:
     obs = _read_series(args.data)
     if args.model_config:
-        spec = load_config(args.model_config)
-        if "bounds" in spec:
-            spec["bounds"] = [tuple(map(float, b)) for b in spec["bounds"]]
-        model = build_model(spec.pop("name", None), **spec)
+        name, kwargs = _model(load_config(args.model_config))
+        model = build_model(name, **dict(kwargs))
     else:
         model = build_model(args.model)
     kernel = StableKernel(args.beta)
@@ -210,17 +208,12 @@ def _cmd_mc(args) -> int:
         cfg_dict = {"preset": args.preset}
     else:
         cfg_dict = load_config(args.config)
-    cfg_dict = apply_overrides(cfg_dict, args.overrides)
-    config = experiment_from_config(cfg_dict)
-    updates = {}
+    overrides = list(args.overrides)
     if args.replicates is not None:
-        updates["replicates"] = args.replicates
+        overrides.append(f"replicates={args.replicates}")
     if args.seed is not None:
-        updates["base_seed"] = args.seed
-    if updates:
-        from dataclasses import replace
-
-        config = replace(config, **updates)
+        overrides.append(f"base_seed={args.seed}")
+    config = experiment_from_config(apply_overrides(cfg_dict, overrides))
     out = run_experiment(config, args.out, workers=args.workers)
     print(f"wrote Monte Carlo results to {out}")
     return 0

@@ -1,20 +1,28 @@
 """YAML experiment configuration: loading, overrides, and validation.
 
-Configs are plain YAML mappings.  Unknown keys are rejected by name so that
-typos fail loudly instead of silently falling back to defaults.  Values can
-be overridden from the command line with dotted ``section.key=value`` pairs;
-override values are parsed with the YAML scalar rules, so ``true``, ``1e-3``
-and ``[1, 2]`` all work.
+Configs are plain YAML mappings, read by one loader for files and for
+dotted ``section.key=value`` overrides alike, so ``true``, ``[1, 2]`` and
+bare scientific notation such as ``1e-3`` (a float here, a string in plain
+YAML 1.1) mean the same in both.  Every section is checked against one key
+table, ``_FIELDS``: a section that is not a mapping, an unknown key, a
+missing required key or a value of the wrong type raises UsageError naming
+the section and key (exit 1 in the CLI).  A null value counts as an absent
+key, so ``--set h_values=null`` removes an entry.  ``stableql mc
+--replicates N --seed S`` are the overrides ``replicates=N`` and
+``base_seed=S``, applied after every ``--set``.
 
 Monte Carlo config keys (see also the shipped presets):
 
     preset: name                 start from a named preset, then override
     model: registry name, or a mapping with drift/scale/p_alpha/p_gamma/
-           bounds/theta_true for expression models
+           bounds/theta_true (and optionally name) for expression models
     noise: {kind: stable|nig, beta: ..., eta: ...}
     designs: list of {T, n, fine_factor}
     replicates, base_seed, beta_fit, x0
     optimizer: {restarts, init_windows}
+
+A section given in the config replaces the preset's section as a whole.
+Without a preset, model, noise, designs and beta_fit are required.
 
 Local-limit config keys:
 
@@ -26,12 +34,14 @@ Local-limit config keys:
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import UsageError
+from .errors import StableQLError, UsageError
 from .harness import Design, ExperimentConfig, preset_config
 from .llt import CfModel, make_grid
 from .samplers import NoiseSpec
@@ -45,14 +55,29 @@ __all__ = [
 ]
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML loading that also reads bare scientific notation (5e0) as a float."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
+def _parse(text: str, what: str):
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise UsageError(f"cannot parse {what}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    try:
-        data = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise UsageError(f"cannot parse config {path}: {exc}") from exc
+    data = _parse(path.read_text(), f"config {path}")
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must be a mapping, got {type(data).__name__}")
     return data
@@ -68,19 +93,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         keys = dotted.strip().split(".")
         if not all(keys):
             raise UsageError(f"override {item!r} has an empty key component")
-        try:
-            value = yaml.safe_load(raw)
-        except yaml.YAMLError as exc:
-            raise UsageError(f"cannot parse override value {raw!r}: {exc}") from exc
-        if isinstance(value, str):
-            # YAML leaves bare scientific notation like 1e-3 as a string
-            try:
-                value = int(value)
-            except ValueError:
-                try:
-                    value = float(value)
-                except ValueError:
-                    pass
+        value = _parse(raw, f"override value {raw!r}")
         node = out
         for key in keys[:-1]:
             child = node.get(key)
@@ -90,133 +103,116 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise UsageError(f"unknown config key {unknown[0]!r} in {where}")
+def _section(value, where: str, required=()) -> dict:
+    """Read a config mapping through the readers of _FIELDS[where].
+
+    Null values count as absent.  Returns {key: read value} for the keys
+    present; raises UsageError naming the section and key otherwise.
+    """
+    if not isinstance(value, dict):
+        raise UsageError(f"{where} must be a mapping, got {type(value).__name__}")
+    readers = _FIELDS[where]
+    for key in value:
+        if key not in readers:
+            raise UsageError(f"unknown config key {key!r} in {where}")
+    present = {key: raw for key, raw in value.items() if raw is not None}
+    for key in required:
+        if key not in present:
+            raise UsageError(f"{where} needs a {key!r} entry")
+    fields = {}
+    for key, raw in present.items():
+        try:
+            fields[key] = readers[key](raw)
+        except StableQLError:
+            raise
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise UsageError(f"bad value for {key!r} in {where}: {exc}") from exc
+    return fields
 
 
-def _noise_from(section) -> NoiseSpec:
-    if not isinstance(section, dict):
-        raise UsageError("noise must be a mapping with a 'kind' key")
-    _check_keys(section, {"kind", "beta", "eta"}, "noise")
-    return NoiseSpec(
-        kind=section.get("kind", ""),
-        beta=section.get("beta"),
-        eta=section.get("eta"),
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in value)
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    return tuple((float(lo), float(hi)) for lo, hi in value)
+
+
+def _model(value) -> tuple[str | None, tuple]:
+    """(registry name, sorted build_model keyword arguments) of a model entry."""
+    if isinstance(value, str):
+        return value, ()
+    fields = _section(value, "model")
+    return fields.pop("name", None), tuple(sorted(fields.items()))
+
+
+def _designs(value) -> tuple[Design, ...]:
+    return tuple(
+        Design(**_section(item, "designs", required=_FIELDS["designs"]))
+        for item in value
     )
 
 
-def _optimizer_from(section) -> OptimizerConfig:
-    _check_keys(section, {"restarts", "init_windows"}, "optimizer")
-    kwargs = dict(section)
-    if "init_windows" in kwargs and kwargs["init_windows"] is not None:
-        kwargs["init_windows"] = tuple(
-            (float(lo), float(hi)) for lo, hi in kwargs["init_windows"]
-        )
-    return OptimizerConfig(**kwargs)
+def _h_grid(value) -> list:
+    spec = _section(value, "h_grid", required=_FIELDS["h_grid"])
+    return list(10.0 ** np.linspace(spec["start"], spec["stop"], spec["count"]))
 
 
-def _designs_from(items) -> tuple[Design, ...]:
-    designs = []
-    for item in items:
-        _check_keys(item, {"T", "n", "fine_factor"}, "designs")
-        missing = {"T", "n", "fine_factor"} - set(item)
-        if missing:
-            raise UsageError(f"design entry missing key {sorted(missing)[0]!r}")
-        designs.append(
-            Design(T=float(item["T"]), n=int(item["n"]), fine_factor=int(item["fine_factor"]))
-        )
-    return tuple(designs)
-
-
-_MC_KEYS = {
-    "preset", "model", "noise", "designs", "replicates",
-    "base_seed", "beta_fit", "x0", "optimizer",
+_FIELDS = {
+    "mc config": {
+        "preset": preset_config,
+        "model": _model,
+        "noise": lambda v: NoiseSpec(**_section(v, "noise", required=("kind",))),
+        "designs": _designs,
+        "replicates": int,
+        "base_seed": int,
+        "beta_fit": float,
+        "x0": float,
+        "optimizer": lambda v: OptimizerConfig(**_section(v, "optimizer")),
+    },
+    "llt config": {
+        "cf": lambda v: CfModel(**_section(v, "cf", required=("kind", "beta"))),
+        "h_values": _floats,
+        "h_grid": _h_grid,
+        "grid": lambda v: make_grid(**_section(v, "grid")),
+    },
+    "model": {
+        "name": str, "drift": str, "scale": str, "p_alpha": int, "p_gamma": int,
+        "bounds": _pairs, "theta_true": _floats,
+    },
+    "noise": {"kind": str, "beta": float, "eta": float},
+    "designs": {"T": float, "n": int, "fine_factor": int},
+    "optimizer": {"restarts": int, "init_windows": _pairs},
+    "cf": {
+        "kind": str, "beta": float,
+        "lambda_tempering": float, "gh_lambda": float, "gh_eta": float,
+    },
+    "h_grid": {"start": float, "stop": float, "count": int},
+    "grid": {"half_width": float, "spacing": float},
 }
-_MODEL_KEYS = {"drift", "scale", "p_alpha", "p_gamma", "bounds", "theta_true", "name"}
 
 
 def experiment_from_config(cfg: dict) -> ExperimentConfig:
     """Build an ExperimentConfig, starting from a preset when one is named."""
-    _check_keys(cfg, _MC_KEYS, "config")
-    base = preset_config(cfg["preset"]) if "preset" in cfg else None
-
-    if "model" in cfg:
-        model = cfg["model"]
-        if isinstance(model, str):
-            model_name, model_kwargs = model, ()
-        elif isinstance(model, dict):
-            _check_keys(model, _MODEL_KEYS, "model")
-            kwargs = dict(model)
-            if "bounds" in kwargs:
-                kwargs["bounds"] = tuple(tuple(map(float, b)) for b in kwargs["bounds"])
-            if kwargs.get("theta_true") is not None:
-                kwargs["theta_true"] = tuple(float(t) for t in kwargs["theta_true"])
-            model_name = kwargs.pop("name", None)
-            model_kwargs = tuple(sorted(kwargs.items()))
-        else:
-            raise UsageError("model must be a registry name or a mapping")
-    elif base is not None:
-        model_name, model_kwargs = base.model_name, base.model_kwargs
-    else:
-        raise UsageError("config needs a 'model' (or a 'preset')")
-
-    def pick(key, fallback, builder=None):
-        if key in cfg:
-            return builder(cfg[key]) if builder else cfg[key]
-        if base is not None:
-            return getattr(base, key)
-        if fallback is _REQUIRED:
-            raise UsageError(f"config needs a {key!r} entry")
-        return fallback
-
-    return ExperimentConfig(
-        model_name=model_name,
-        model_kwargs=model_kwargs,
-        noise=pick("noise", _REQUIRED, _noise_from),
-        designs=pick("designs", _REQUIRED, _designs_from),
-        replicates=int(pick("replicates", 200)),
-        base_seed=int(pick("base_seed", 0)),
-        beta_fit=float(pick("beta_fit", _REQUIRED)),
-        x0=float(pick("x0", 0.0)),
-        optimizer=pick("optimizer", OptimizerConfig(), _optimizer_from),
-    )
-
-
-_REQUIRED = object()
-
-_LLT_KEYS = {"cf", "h_values", "h_grid", "grid"}
-_CF_KEYS = {"kind", "beta", "lambda_tempering", "gh_lambda", "gh_eta"}
+    has_preset = isinstance(cfg, dict) and cfg.get("preset") is not None
+    required = () if has_preset else ("model", "noise", "designs", "beta_fit")
+    fields = _section(cfg, "mc config", required)
+    base = fields.pop("preset", None)
+    if "model" in fields:
+        fields["model_name"], fields["model_kwargs"] = fields.pop("model")
+    if base is not None:
+        return replace(base, **fields)
+    return ExperimentConfig(**{"replicates": 200, "base_seed": 0, **fields})
 
 
 def llt_from_config(cfg: dict):
     """Returns (CfModel, h_values list, grid array) for the llt subcommand."""
-    _check_keys(cfg, _LLT_KEYS, "config")
-    if "cf" not in cfg:
-        raise UsageError("config needs a 'cf' section")
-    _check_keys(cfg["cf"], _CF_KEYS, "cf")
-    cf = CfModel(
-        kind=cfg["cf"].get("kind", ""),
-        beta=float(cfg["cf"].get("beta", 0.0)),
-        lambda_tempering=cfg["cf"].get("lambda_tempering"),
-        gh_lambda=cfg["cf"].get("gh_lambda"),
-        gh_eta=cfg["cf"].get("gh_eta"),
-    )
-    if cfg.get("h_values") is not None:
-        h_values = [float(h) for h in cfg["h_values"]]
-    elif cfg.get("h_grid") is not None:
-        spec = cfg["h_grid"]
-        _check_keys(spec, {"start", "stop", "count"}, "h_grid")
-        h_values = list(
-            10.0 ** np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
-        )
+    fields = _section(cfg, "llt config", required=("cf",))
+    if "h_values" in fields:
+        h_values = list(fields["h_values"])
+    elif "h_grid" in fields:
+        h_values = fields["h_grid"]
     else:
         h_values = list(10.0 ** np.linspace(-1.0, -3.0, 6))
-    grid_spec = cfg.get("grid", {})
-    _check_keys(grid_spec, {"half_width", "spacing"}, "grid")
-    grid = make_grid(
-        half_width=float(grid_spec.get("half_width", 60.0)),
-        spacing=float(grid_spec.get("spacing", 1e-2)),
-    )
-    return cf, h_values, grid
+    grid = fields["grid"] if "grid" in fields else make_grid()
+    return fields["cf"], h_values, grid

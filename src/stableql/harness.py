@@ -19,11 +19,12 @@ worker counts.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -214,11 +215,6 @@ def _run_replicate(config: ExperimentConfig, rep: int) -> list[dict]:
     return records
 
 
-def _worker(args):
-    config, rep = args
-    return _run_replicate(config, rep)
-
-
 # -- output writing --------------------------------------------------------
 
 
@@ -334,14 +330,16 @@ def run_experiment(
     _start_box(model, config.optimizer.init_windows)
     p = model.p
 
-    tasks = [(config, rep) for rep in range(config.replicates)]
     if workers is None:
         workers = min(os.cpu_count() or 1, config.replicates)
     if workers <= 1:
-        batches = [_worker(t) for t in tasks]
+        batches = [_run_replicate(config, rep) for rep in range(config.replicates)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_worker, tasks, chunksize=1))
+            batches = list(pool.map(
+                _run_replicate, itertools.repeat(config), range(config.replicates),
+                chunksize=1,
+            ))
     records = [rec for batch in batches for rec in batch]
     records.sort(key=lambda r: (r["design"], r["rep"]))
 

@@ -67,7 +67,7 @@ def stable_tail_coefficient(beta: float) -> float:
 
     Equals (1/pi) * Gamma(1+beta) * sin(beta*pi/2); reduces to 1/pi at beta=1.
     """
-    return gamma_fn(1.0 + beta) * np.sin(beta * np.pi / 2.0) / np.pi
+    return _tail_series_coefficients(beta, 1)[0]
 
 
 def _tail_series_coefficients(beta: float, terms: int = _TAIL_TERMS) -> np.ndarray:

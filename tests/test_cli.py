@@ -97,6 +97,23 @@ class TestSimulateAndFit:
         assert code == 2
         assert "model violation" in err
 
+    def test_model_config_unknown_key(self, capsys, tmp_path):
+        data = tmp_path / "path.csv"
+        run(capsys, "simulate", "--n", "50", "--fine-factor", "10",
+            "--seed", "2", "--out", str(data))
+        bad = tmp_path / "typo.yaml"
+        bad.write_text(
+            "drfit: a1*x\nscale: exp(g1)\np_alpha: 1\np_gamma: 1\n"
+            "bounds: [[-2, 2], [-2, 2]]\n"
+        )
+        code, _, err = run(
+            capsys, "fit", "--data", str(data), "--model-config", str(bad),
+            "--beta", "1",
+        )
+        assert code == 1
+        assert "drfit" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestMc:
     def test_preset_run_and_reproducibility(self, capsys, tmp_path):
@@ -140,6 +157,15 @@ class TestMc:
         )
         assert code == 1
         assert "init window" in err
+
+    def test_override_of_wrong_type_named(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "mc", "--preset", "nig-1d", "--replicates", "1", "--workers", "1",
+            "--set", "optimizer.restarts=x", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "restarts" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_partial_failure_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "fail.yaml"

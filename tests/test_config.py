@@ -1,7 +1,11 @@
 """Config loading, overrides, and validation."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stableql.config import (
     apply_overrides,
@@ -27,6 +31,16 @@ class TestLoadConfig:
         path = tmp_path / "ok.yaml"
         path.write_text("preset: nig-1d\nreplicates: 10\n")
         assert load_config(path) == {"preset": "nig-1d", "replicates": 10}
+
+    def test_bare_scientific_notation_is_float(self, tmp_path):
+        path = tmp_path / "nig.yaml"
+        path.write_text("preset: nig-1d\nnoise: {kind: nig, eta: 5e0}\n")
+        from_file = experiment_from_config(load_config(path))
+        from_set = experiment_from_config(
+            apply_overrides({"preset": "nig-1d"}, ["noise.kind=nig", "noise.eta=5e0"])
+        )
+        assert from_file.noise.eta == 5.0
+        assert repr(from_file) == repr(from_set)
 
 
 class TestOverrides:
@@ -157,3 +171,125 @@ class TestLltFromConfig:
     def test_unknown_cf_key(self):
         with pytest.raises(UsageError, match="'mu'"):
             llt_from_config({"cf": {"kind": "stable", "beta": 1.5, "mu": 0}})
+
+
+_STABLE = {"kind": "stable", "beta": 1.5}
+
+
+@pytest.mark.parametrize(
+    "build, cfg, named",
+    [
+        (experiment_from_config, {"preset": "nig-1d", "designs": [5]}, "designs"),
+        (experiment_from_config, {"preset": "nig-1d", "optimizer": 3}, "optimizer"),
+        (llt_from_config, {"cf": _STABLE, "grid": 5}, "grid"),
+        (llt_from_config, {"cf": _STABLE, "h_grid": {"start": -1}}, "'stop'"),
+        (
+            experiment_from_config,
+            apply_overrides({"preset": "nig-1d"}, ["optimizer.restarts=x"]),
+            "'restarts'",
+        ),
+        (llt_from_config, {"cf": "stable"}, "cf"),
+    ],
+)
+def test_malformed_input_names_key(build, cfg, named):
+    with pytest.raises(UsageError, match=named):
+        build(cfg)
+
+
+# A valid MC config is generated as a tree whose numeric leaves carry both
+# their YAML spelling and their value, so the same config can be handed over
+# as a dict, as a YAML file and as --set overrides.
+class _Num(NamedTuple):
+    text: str
+    value: float
+
+
+def _number(lo: int, hi: int, exponents=(-2, -1, 0)):
+    """m * 10**e, spelled in bare scientific notation or as its repr."""
+    def spell(m, e, sci):
+        value = float(f"{m}e{e}")
+        return _Num(f"{m}e{e}" if sci else repr(value), value)
+
+    return st.builds(spell, st.integers(lo, hi), st.sampled_from(exponents), st.booleans())
+
+
+def _integer(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda i: _Num(str(i), i))
+
+
+_DESIGN = st.fixed_dictionaries(
+    {"T": _number(1, 20, (-1, 0)), "n": _integer(1, 500), "fine_factor": _integer(1, 50)}
+)
+_NOISE = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("stable"), "beta": _number(1, 19, (-1,))}),
+    st.fixed_dictionaries({"kind": st.just("nig"), "eta": _number(1, 99, (-1, 0))}),
+)
+_OPTIMIZER = st.fixed_dictionaries(
+    {"restarts": _integer(1, 20)},
+    optional={"init_windows": st.lists(st.lists(_number(-99, 99), min_size=2, max_size=2),
+                                       min_size=1, max_size=4)},
+)
+_OPTIONAL = {
+    "replicates": _integer(1, 1000),
+    "base_seed": _integer(0, 2**31 - 1),
+    "x0": _number(-99, 99),
+    "optimizer": _OPTIMIZER,
+}
+_REQUIRED = {
+    "noise": _NOISE,
+    "designs": st.lists(_DESIGN, min_size=1, max_size=3,
+                        unique_by=lambda d: (d["T"].value, d["n"].value)),
+    "beta_fit": _number(10, 19, (-1,)),
+}
+_MC_CONFIG = st.one_of(
+    st.fixed_dictionaries(
+        {"preset": st.sampled_from(["nig-1d", "nig-2d", "stable15-1d", "stable15-2d"])},
+        optional={**_REQUIRED, **_OPTIONAL},
+    ),
+    st.fixed_dictionaries(
+        {"model": st.sampled_from(["nonlinear-1d", "nonlinear-2d"]), **_REQUIRED},
+        optional=_OPTIONAL,
+    ),
+)
+
+
+def _value(node):
+    if isinstance(node, _Num):
+        return node.value
+    if isinstance(node, dict):
+        return {key: _value(v) for key, v in node.items()}
+    if isinstance(node, list):
+        return [_value(v) for v in node]
+    return node
+
+
+def _flow(node) -> str:
+    if isinstance(node, _Num):
+        return node.text
+    if isinstance(node, dict):
+        return "{" + ", ".join(f"{key}: {_flow(v)}" for key, v in node.items()) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_flow(v) for v in node) + "]"
+    return node
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_MC_CONFIG)
+def test_dict_file_and_overrides_agree(cfg, tmp_path):
+    from_dict = experiment_from_config(_value(cfg))
+
+    path = tmp_path / "cfg.yaml"
+    path.write_text("".join(f"{key}: {_flow(v)}\n" for key, v in cfg.items()))
+    from_file = experiment_from_config(load_config(path))
+
+    overrides = []
+    for key, node in cfg.items():
+        if isinstance(node, dict):
+            overrides += [f"{key}.{sub}={_flow(v)}" for sub, v in node.items()]
+        else:
+            overrides.append(f"{key}={_flow(node)}")
+    from_set = experiment_from_config(apply_overrides({}, overrides))
+
+    assert repr(from_file) == repr(from_dict)
+    assert repr(from_set) == repr(from_dict)
