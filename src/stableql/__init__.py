@@ -10,12 +10,12 @@ from .errors import (
     StableQLError,
     UsageError,
 )
-from .harness import Design, ExperimentConfig, preset_config, run_experiment, summarize
+from .harness import Design, ExperimentConfig, preset_config, run_experiment
 from .inference import StudentizedReport, confidence_intervals, studentize
 from .llt import CfModel, RateFit, invert_density, l1_distance, rate_fit
 from .models import MODEL_REGISTRY, ModelSpec, Theta, build_model
 from .samplers import NoiseSpec, RngStream, sample_nig, sample_stable
-from .sde import FinePath, ObservationSeries, simulate_fine, thin
+from .sde import ObservationSeries, simulate_fine, thin
 from .sqlik import (
     FitResult,
     OptimizerConfig,
@@ -32,7 +32,6 @@ __all__ = [
     "Design",
     "DomainError",
     "ExperimentConfig",
-    "FinePath",
     "FitResult",
     "InfoConstants",
     "MODEL_REGISTRY",
@@ -68,7 +67,6 @@ __all__ = [
     "sample_stable",
     "simulate_fine",
     "studentize",
-    "summarize",
     "thin",
 ]
 

@@ -8,10 +8,11 @@ Subcommands:
     mc         run a Monte Carlo study (preset or config file)
     llt        local limit lab: L1 distances and decay-rate fit
 
-Exit codes: 0 success, 1 usage error, 2 numeric or optimization failure,
-3 Monte Carlo run with more than the tolerated fraction of failed
-replicates.  Every subcommand accepts --seed and reruns with identical
-arguments reproduce outputs byte-identically (timing columns excepted).
+Exit codes: 0 success, 1 usage error (a malformed command line included),
+2 numeric or optimization failure, 3 Monte Carlo run with more than the
+tolerated fraction of failed replicates.  simulate, fit and mc accept --seed,
+and reruns with identical arguments reproduce outputs byte-identically
+(timing columns excepted) at one BLAS thread count.
 """
 
 from __future__ import annotations
@@ -61,8 +62,16 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors are usage errors: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stableql",
         description="Stable quasi-likelihood estimation for Levy-driven SDEs.",
     )
@@ -71,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="print C_alpha(beta), C_gamma(beta)")
     p.add_argument("--beta", type=float, required=True, help="stability index in [1,2)")
-    _add_seed(p)
 
     p = sub.add_parser("simulate", help="simulate one observed path to CSV")
     p.add_argument("--model", default="nonlinear-1d",
@@ -116,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="dotted config override, repeatable")
-    _add_seed(p)
 
     return parser
 
@@ -164,9 +171,7 @@ def _read_series(path: str) -> ObservationSeries:
     steps = np.diff(t)
     if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, steps[0]):
         raise UsageError(f"{p} must be sampled on an equidistant time grid")
-    h = float(steps[0])
-    n = len(x) - 1
-    return ObservationSeries(x=x, h=h, T=h * n, n=n)
+    return ObservationSeries(x=x, h=float(steps[0]))
 
 
 def _cmd_fit(args) -> int:

@@ -7,9 +7,10 @@ YAML 1.1) mean the same in both.  Every section is checked against one key
 table, ``_FIELDS``: a section that is not a mapping, an unknown key, a
 missing required key or a value of the wrong type raises UsageError naming
 the section and key (exit 1 in the CLI).  A null value counts as an absent
-key, so ``--set h_values=null`` removes an entry.  ``stableql mc
---replicates N --seed S`` are the overrides ``replicates=N`` and
-``base_seed=S``, applied after every ``--set``.
+key, so ``--set h_values=null`` removes an entry.  Integer keys take ints
+and integral floats such as ``1e3``; a boolean or a fraction is an error.
+``stableql mc --replicates N --seed S`` are the overrides ``replicates=N``
+and ``base_seed=S``, applied after every ``--set``.
 
 Monte Carlo config keys (see also the shipped presets):
 
@@ -130,6 +131,13 @@ def _section(value, where: str, required=()) -> dict:
     return fields
 
 
+def _int(value) -> int:
+    """An int, or a float with an integral value such as 1e3; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(value) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
@@ -164,8 +172,8 @@ _FIELDS = {
         "model": _model,
         "noise": lambda v: NoiseSpec(**_section(v, "noise", required=("kind",))),
         "designs": _designs,
-        "replicates": int,
-        "base_seed": int,
+        "replicates": _int,
+        "base_seed": _int,
         "beta_fit": float,
         "x0": float,
         "optimizer": lambda v: OptimizerConfig(**_section(v, "optimizer")),
@@ -177,17 +185,17 @@ _FIELDS = {
         "grid": lambda v: make_grid(**_section(v, "grid")),
     },
     "model": {
-        "name": str, "drift": str, "scale": str, "p_alpha": int, "p_gamma": int,
+        "name": str, "drift": str, "scale": str, "p_alpha": _int, "p_gamma": _int,
         "bounds": _pairs, "theta_true": _floats,
     },
     "noise": {"kind": str, "beta": float, "eta": float},
-    "designs": {"T": float, "n": int, "fine_factor": int},
-    "optimizer": {"restarts": int, "init_windows": _pairs},
+    "designs": {"T": float, "n": _int, "fine_factor": _int},
+    "optimizer": {"restarts": _int, "init_windows": _pairs},
     "cf": {
         "kind": str, "beta": float,
         "lambda_tempering": float, "gh_lambda": float, "gh_eta": float,
     },
-    "h_grid": {"start": float, "stop": float, "count": int},
+    "h_grid": {"start": float, "stop": float, "count": _int},
     "grid": {"half_width": float, "spacing": float},
 }
 

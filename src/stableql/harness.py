@@ -11,9 +11,10 @@ machine-readable files:
     boxplots.csv     five-number summaries per design and coordinate
 
 Replicates are independent (streams keyed by base_seed XOR replicate index)
-and are the unit of parallelism; aggregation sorts by (design, replicate) so
-every output except wall-clock timings is byte-identical across reruns and
-worker counts.
+and are the unit of parallelism; aggregation sorts by (design, replicate) and
+groups each design's converged cells once (``_by_design``), so every output
+except wall-clock timings is byte-identical across reruns and worker counts at
+one BLAS thread count (the kernel tables are matrix products).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "PRESETS",
     "preset_config",
     "run_experiment",
-    "summarize",
 ]
 
 HIST_BINS = 50
@@ -243,35 +243,43 @@ def _write_replicates(path: Path, records: list[dict], p: int) -> None:
             )
 
 
-def _five_number(values: np.ndarray) -> list[float]:
-    return [float(v) for v in np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])]
+def _by_design(records: list[dict], p: int) -> dict:
+    """{label: {"cells": count, "theta", "z", "cover": (p, k) arrays}}, sorted.
+
+    The arrays hold the k converged cells, one contiguous row per coordinate.
+    """
+    rows: dict = {}
+    for rec in records:
+        rows.setdefault(rec["design"], []).append(rec)
+    table = {}
+    for label in sorted(rows):
+        good = [r for r in rows[label] if r["converged"]]
+        table[label] = {"cells": len(rows[label])}
+        for key in ("theta", "z", "cover"):
+            table[label][key] = np.array([r[key] for r in good]).reshape(len(good), p).T.copy()
+    return table
 
 
-def _aggregate(records: list[dict], p: int) -> dict:
-    """Per-design summary over converged replicates, deterministic key order."""
-    designs = sorted({rec["design"] for rec in records})
+def _aggregate(table: dict) -> dict:
+    """Per-design summary over converged replicates."""
     summary = {}
-    for label in designs:
-        rows = [r for r in records if r["design"] == label]
-        good = [r for r in rows if r["converged"]]
+    for label, cells in table.items():
+        k = cells["z"].shape[1]
         entry = {
-            "n_total": len(rows),
-            "n_converged": len(good),
-            "n_failed": len(rows) - len(good),
+            "n_total": cells["cells"],
+            "n_converged": k,
+            "n_failed": cells["cells"] - k,
             "coordinates": [],
         }
-        for i in range(p):
+        for i, (th, zz, cov) in enumerate(zip(cells["theta"], cells["z"], cells["cover"])):
             coord = {"index": i + 1}
-            if good:
-                th = np.array([r["theta"][i] for r in good])
-                zz = np.array([r["z"][i] for r in good])
-                cov = np.array([r["cover"][i] for r in good])
+            if k:
                 q1, med, q3 = np.quantile(th, [0.25, 0.5, 0.75])
                 coord.update(
                     theta_median=float(med),
                     theta_iqr=float(q3 - q1),
                     z_mean=float(zz.mean()),
-                    z_sd=float(zz.std(ddof=1)) if len(zz) > 1 else 0.0,
+                    z_sd=float(zz.std(ddof=1)) if k > 1 else 0.0,
                     ci_coverage=float(cov.mean()),
                 )
             entry["coordinates"].append(coord)
@@ -279,15 +287,13 @@ def _aggregate(records: list[dict], p: int) -> dict:
     return summary
 
 
-def _write_histograms(path: Path, records: list[dict], p: int) -> None:
+def _write_histograms(path: Path, table: dict) -> None:
     edges = np.linspace(HIST_RANGE[0], HIST_RANGE[1], HIST_BINS + 1)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["design", "coordinate", "bin_left", "bin_right", "count"])
-        for label in sorted({r["design"] for r in records}):
-            good = [r for r in records if r["design"] == label and r["converged"]]
-            for i in range(p):
-                zz = np.array([r["z"][i] for r in good])
+        for label, cells in table.items():
+            for i, zz in enumerate(cells["z"]):
                 counts, _ = np.histogram(zz, bins=edges)
                 for b in range(HIST_BINS):
                     writer.writerow(
@@ -295,20 +301,17 @@ def _write_histograms(path: Path, records: list[dict], p: int) -> None:
                     )
 
 
-def _write_boxplots(path: Path, records: list[dict], p: int) -> None:
+def _write_boxplots(path: Path, table: dict) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["design", "variable", "min", "q1", "median", "q3", "max"])
-        for label in sorted({r["design"] for r in records}):
-            good = [r for r in records if r["design"] == label and r["converged"]]
-            if not good:
+        for label, cells in table.items():
+            if not cells["z"].size:
                 continue
-            for prefix, key in (("theta", "theta"), ("z", "z")):
-                for i in range(p):
-                    vals = np.array([r[key][i] for r in good])
-                    writer.writerow(
-                        [label, f"{prefix}_{i+1}"] + [_fmt(v) for v in _five_number(vals)]
-                    )
+            for key in ("theta", "z"):
+                for i, vals in enumerate(cells[key]):
+                    quartiles = np.quantile(vals, [0.0, 0.25, 0.5, 0.75, 1.0])
+                    writer.writerow([label, f"{key}_{i+1}"] + [_fmt(v) for v in quartiles])
 
 
 def run_experiment(
@@ -344,12 +347,12 @@ def run_experiment(
     records.sort(key=lambda r: (r["design"], r["rep"]))
 
     _write_replicates(out / "replicates.csv", records, p)
-    summary = _aggregate(records, p)
+    table = _by_design(records, p)
     with (out / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_aggregate(table), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_histograms(out / "histograms.csv", records, p)
-    _write_boxplots(out / "boxplots.csv", records, p)
+    _write_histograms(out / "histograms.csv", table)
+    _write_boxplots(out / "boxplots.csv", table)
 
     n_failed = sum(1 for r in records if not r["converged"])
     if n_failed > FAILURE_THRESHOLD * len(records):
@@ -358,27 +361,3 @@ def run_experiment(
             f"(threshold {FAILURE_THRESHOLD:.0%}); see {out / 'replicates.csv'}"
         )
     return out
-
-
-def summarize(replicates_csv: str | Path) -> dict:
-    """Recompute the per-design summary from a replicates.csv file."""
-    path = Path(replicates_csv)
-    with path.open() as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if not rows:
-        raise UsageError(f"no replicate rows in {path}")
-    p = sum(1 for k in rows[0] if k.startswith("theta_"))
-    records = []
-    for row in rows:
-        records.append(
-            {
-                "rep": int(row["rep"]),
-                "design": row["design"],
-                "theta": np.array([float(row[f"theta_{i+1}"]) for i in range(p)]),
-                "z": np.array([float(row[f"z_{i+1}"]) for i in range(p)]),
-                "cover": np.array([int(row[f"cover_{i+1}"]) for i in range(p)]),
-                "converged": row["converged"] == "1",
-            }
-        )
-    return _aggregate(records, p)

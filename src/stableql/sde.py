@@ -3,8 +3,10 @@
 Data generation follows the two-stage protocol used throughout the
 experiments: simulate on a grid much finer than the observation frequency
 (default 50 sub-steps per observation interval), then keep every
-``factor``-th point.  The scale coefficient is evaluated at the left end of
-each step, matching the predictable integrand of the stochastic integral.
+``factor``-th point.  One type, ``ObservationSeries(x, h)``, holds a path on
+either grid; its step count ``n`` and horizon ``T = n*h`` follow from ``x``
+and ``h``.  The scale coefficient is evaluated at the left end of each step,
+matching the predictable integrand of the stochastic integral.
 
 The steps run in the model's compiled Euler walk ``ModelSpec.euler_walk``,
 a loop on Python floats with the update inlined, so no Python function is
@@ -28,7 +30,7 @@ from .errors import DomainError, SimulationOverflowError, UsageError
 from .models import ModelSpec
 from .samplers import NoiseSpec, RngStream
 
-__all__ = ["FinePath", "ObservationSeries", "simulate_fine", "thin"]
+__all__ = ["ObservationSeries", "simulate_fine", "thin"]
 
 # Steps per chunk of increments converted to Python floats at a time.
 _CHUNK = 4096
@@ -36,40 +38,31 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Equidistant records X_{jh}, j = 0..n, over horizon T = n*h."""
+    """Records X_{jh}, j = 0..n, on a uniform grid of step h over horizon T = n*h."""
 
     x: np.ndarray
     h: float
-    T: float
-    n: int
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, float))
-        if self.x.shape != (self.n + 1,):
-            raise DomainError(
-                f"expected {self.n + 1} observations, got shape {self.x.shape}"
-            )
-        if abs(self.h * self.n - self.T) > 1e-12 * max(1.0, self.T):
-            raise DomainError(f"h*n={self.h * self.n} inconsistent with T={self.T}")
+        if self.x.ndim != 1:
+            raise DomainError(f"expected a 1-d series, got shape {self.x.shape}")
         if not np.all(np.isfinite(self.x)):
             raise DomainError("non-finite observation values")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise DomainError(f"step h must be positive and finite, got {self.h}")
+
+    @property
+    def n(self) -> int:
+        return len(self.x) - 1
+
+    @property
+    def T(self) -> float:
+        return self.n * self.h
 
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.h
-
-
-@dataclass(frozen=True)
-class FinePath:
-    """Simulation-resolution path with step delta = T / n_fine."""
-
-    x: np.ndarray
-    T: float
-    n_fine: int
-
-    @property
-    def delta(self) -> float:
-        return self.T / self.n_fine
 
 
 def simulate_fine(
@@ -80,8 +73,9 @@ def simulate_fine(
     x0: float,
     rng: RngStream,
     increments: np.ndarray | None = None,
-) -> FinePath:
-    """Euler scheme for dX = a(X, alpha0) dt + c(X-, gamma0) dJ at theta_true.
+) -> ObservationSeries:
+    """Euler scheme for dX = a(X, alpha0) dt + c(X-, gamma0) dJ at theta_true,
+    on the grid of step delta = T / n_fine.
 
     ``increments`` overrides the noise draws (used by deterministic tests and
     common-random-number experiments); otherwise n_fine increments at step
@@ -114,14 +108,11 @@ def simulate_fine(
         if error is not None:
             raise SimulationOverflowError(lo + len(states) + 1, math.nan) from error
         xk = states[-1]
-    return FinePath(x=x, T=T, n_fine=n_fine)
+    return ObservationSeries(x=x, h=delta)
 
 
-def thin(fine: FinePath, factor: int) -> ObservationSeries:
-    """Keep every factor-th point of a fine path."""
-    if factor < 1 or fine.n_fine % factor != 0:
-        raise UsageError(
-            f"thinning factor {factor} must divide the fine step count {fine.n_fine}"
-        )
-    n = fine.n_fine // factor
-    return ObservationSeries(x=fine.x[::factor], h=fine.delta * factor, T=fine.T, n=n)
+def thin(path: ObservationSeries, factor: int) -> ObservationSeries:
+    """Keep every factor-th point of a series."""
+    if factor < 1 or path.n % factor != 0:
+        raise UsageError(f"thinning factor {factor} must divide the step count {path.n}")
+    return ObservationSeries(x=path.x[::factor], h=path.h * factor)

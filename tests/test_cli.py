@@ -38,6 +38,23 @@ class TestConstants:
         assert "beta" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--bogus"],
+        ["fit", "--beta", "x"],
+        ["constants", "--beta", "1.5", "--seed", "0"],
+        ["llt", "--out", "out", "--seed", "0"],
+    ],
+    ids=["unknown-option", "bad-type", "constants-seed", "llt-seed"],
+)
+def test_parse_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 class TestSimulateAndFit:
     def test_round_trip(self, capsys, tmp_path):
         data = tmp_path / "path.csv"

@@ -196,6 +196,27 @@ def test_malformed_input_names_key(build, cfg, named):
         build(cfg)
 
 
+@pytest.mark.parametrize(
+    "override, expected",
+    [
+        ("replicates=1e3", 1000),
+        ("replicates=2.5", "'replicates'"),
+        ("replicates=true", "'replicates'"),
+        ("optimizer.restarts=true", "'restarts'"),
+        ("designs=[{T: 1, n: 500.7, fine_factor: 300}]", "'n'"),
+    ],
+)
+def test_integer_keys(override, expected):
+    # integral floats are read as ints; booleans and fractions name the key
+    cfg = apply_overrides({"preset": "nig-1d"}, [override])
+    if isinstance(expected, str):
+        with pytest.raises(UsageError, match=expected):
+            experiment_from_config(cfg)
+    else:
+        replicates = experiment_from_config(cfg).replicates
+        assert replicates == expected and type(replicates) is int
+
+
 # A valid MC config is generated as a tree whose numeric leaves carry both
 # their YAML spelling and their value, so the same config can be handed over
 # as a dict, as a YAML file and as --set overrides.

@@ -22,7 +22,6 @@ from stableql.harness import (
     PRESETS,
     preset_config,
     run_experiment,
-    summarize,
 )
 from stableql.samplers import NoiseSpec
 from stableql.sqlik import OptimizerConfig
@@ -202,50 +201,31 @@ class TestSimulationFailures:
         assert len(rows) == 4 and all(r["converged"] == "0" for r in rows)
 
 
+def summary_of(*rows):
+    """The summary of in-memory (theta, z, cover, converged) cells of design d."""
+    records = [
+        {"rep": rep, "design": "d", "theta": np.array([theta]), "z": np.array([z]),
+         "cover": np.array([cover]), "converged": converged}
+        for rep, (theta, z, cover, converged) in enumerate(rows)
+    ]
+    return harness._aggregate(harness._by_design(records, 1))
+
+
 class TestSummarize:
-    def test_round_trip(self, tmp_path):
-        out = run_experiment(small_config(), tmp_path / "run", workers=2)
-        recomputed = summarize(out / "replicates.csv")
-        on_disk = json.loads((out / "summary.json").read_text())
-        assert recomputed == on_disk
-
-    def test_empty_input(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("rep,design,theta_1,z_1,cover_1,converged,seconds\n")
-        with pytest.raises(UsageError):
-            summarize(path)
-
-    def test_single_row(self, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text(
-            "rep,design,theta_1,z_1,cover_1,converged,seconds\n"
-            "0,d,1.5,0.3,1,1,0.1\n"
-        )
-        summary = summarize(path)
+    def test_single_row(self):
+        summary = summary_of((1.5, 0.3, 1, True))
         coord = summary["d"]["coordinates"][0]
         assert coord["theta_median"] == 1.5
         assert coord["z_mean"] == 0.3
         assert coord["ci_coverage"] == 1.0
 
-    def test_symmetric_rows_mean_zero(self, tmp_path):
-        path = tmp_path / "two.csv"
-        path.write_text(
-            "rep,design,theta_1,z_1,cover_1,converged,seconds\n"
-            "0,d,1.0,0.7,1,1,0.1\n"
-            "1,d,2.0,-0.7,0,1,0.1\n"
-        )
-        coord = summarize(path)["d"]["coordinates"][0]
+    def test_symmetric_rows_mean_zero(self):
+        coord = summary_of((1.0, 0.7, 1, True), (2.0, -0.7, 0, True))["d"]["coordinates"][0]
         assert coord["z_mean"] == 0.0
         assert coord["ci_coverage"] == 0.5
 
-    def test_excludes_non_converged(self, tmp_path):
-        path = tmp_path / "three.csv"
-        path.write_text(
-            "rep,design,theta_1,z_1,cover_1,converged,seconds\n"
-            "0,d,1.0,0.5,1,1,0.1\n"
-            "1,d,nan,nan,0,0,0.1\n"
-        )
-        summary = summarize(path)
+    def test_excludes_non_converged(self):
+        summary = summary_of((1.0, 0.5, 1, True), (np.nan, np.nan, 0, False))
         assert summary["d"]["n_failed"] == 1
         assert summary["d"]["coordinates"][0]["z_mean"] == 0.5
 

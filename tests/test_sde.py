@@ -6,7 +6,7 @@ import pytest
 from stableql.errors import DomainError, SimulationOverflowError, UsageError
 from stableql.models import build_model
 from stableql.samplers import NoiseSpec, RngStream
-from stableql.sde import FinePath, ObservationSeries, simulate_fine, thin
+from stableql.sde import ObservationSeries, simulate_fine, thin
 
 
 def reference_path(model, x0, delta, increments):
@@ -24,22 +24,25 @@ def reference_path(model, x0, delta, increments):
 
 class TestObservationSeries:
     def test_invariants(self):
-        obs = ObservationSeries(x=np.zeros(11), h=0.1, T=1.0, n=10)
+        obs = ObservationSeries(x=np.zeros(11), h=0.1)
+        assert obs.n == 10
+        assert obs.T == pytest.approx(1.0)
         assert np.allclose(obs.times, np.arange(11) * 0.1)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            ObservationSeries(x=np.zeros(10), h=0.1, T=1.0, n=10)
-
-    def test_step_mismatch(self):
-        with pytest.raises(DomainError):
-            ObservationSeries(x=np.zeros(11), h=0.2, T=1.0, n=10)
 
     def test_non_finite(self):
         x = np.zeros(11)
         x[3] = np.inf
         with pytest.raises(DomainError):
-            ObservationSeries(x=x, h=0.1, T=1.0, n=10)
+            ObservationSeries(x=x, h=0.1)
+
+    def test_not_one_dimensional(self):
+        with pytest.raises(DomainError):
+            ObservationSeries(x=np.zeros((2, 6)), h=0.1)
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.inf, np.nan])
+    def test_bad_step(self, h):
+        with pytest.raises(DomainError):
+            ObservationSeries(x=np.zeros(11), h=h)
 
 
 class TestSimulateFine:
@@ -51,7 +54,8 @@ class TestSimulateFine:
             rng=RngStream(0, 0), increments=np.zeros(100),
         )
         assert np.allclose(fine.x, (1 - 0.01) ** np.arange(101))
-        assert fine.delta == pytest.approx(0.01)
+        assert fine.n == 100
+        assert fine.h == pytest.approx(0.01)
 
     def test_pure_noise_telescopes(self):
         # zero drift, unit scale: increments accumulate exactly
@@ -158,26 +162,26 @@ class TestSimulateFine:
 
 class TestThin:
     def test_thinning_keeps_every_kth(self):
-        fine = FinePath(x=np.arange(101, dtype=float), T=1.0, n_fine=100)
+        fine = ObservationSeries(x=np.arange(101, dtype=float), h=0.01)
         obs = thin(fine, 10)
         assert obs.n == 10
         assert obs.h == pytest.approx(0.1)
         assert np.array_equal(obs.x, np.arange(0, 101, 10))
 
     def test_factor_one_identity(self):
-        fine = FinePath(x=np.linspace(0, 1, 51), T=5.0, n_fine=50)
+        fine = ObservationSeries(x=np.linspace(0, 1, 51), h=0.1)
         obs = thin(fine, 1)
         assert obs.n == 50
         assert np.array_equal(obs.x, fine.x)
 
     def test_non_divisible_factor(self):
-        fine = FinePath(x=np.zeros(101), T=1.0, n_fine=100)
+        fine = ObservationSeries(x=np.zeros(101), h=0.01)
         with pytest.raises(UsageError):
             thin(fine, 3)
 
     def test_protocol_step_sizes(self):
         # thinning a 150000-step path reproduces the coarse designs exactly
-        fine = FinePath(x=np.zeros(150001), T=1.0, n_fine=150000)
+        fine = ObservationSeries(x=np.zeros(150001), h=1.0 / 150000)
         for n, factor in [(500, 300), (1000, 150), (3000, 50)]:
             obs = thin(fine, factor)
             assert obs.n == n

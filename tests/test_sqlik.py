@@ -45,7 +45,7 @@ class TestResiduals:
         x[0] = 1.0
         for j in range(3):
             x[j + 1] = x[j] + h * nonlinear_1d.drift(x[j], theta.alpha)
-        obs = ObservationSeries(x=x, h=h, T=3 * h, n=3)
+        obs = ObservationSeries(x=x, h=h)
         eps = residuals(obs, nonlinear_1d, theta, 1.5)
         assert np.allclose(eps, 0.0, atol=1e-14)
 
