@@ -10,7 +10,8 @@ from .errors import (
     StableQLError,
     UsageError,
 )
-from .harness import Design, ExperimentConfig, preset_config, run_experiment
+from .config import preset_config
+from .harness import Design, ExperimentConfig, run_experiment
 from .inference import StudentizedReport, confidence_intervals, studentize
 from .llt import CfModel, RateFit, invert_density, l1_distance, rate_fit
 from .models import MODEL_REGISTRY, ModelSpec, Theta, build_model

@@ -8,11 +8,11 @@ Subcommands:
     mc         run a Monte Carlo study (preset or config file)
     llt        local limit lab: L1 distances and decay-rate fit
 
-Exit codes: 0 success, 1 usage error (a malformed command line included),
-2 numeric or optimization failure, 3 Monte Carlo run with more than the
-tolerated fraction of failed replicates.  simulate, fit and mc accept --seed,
-and reruns with identical arguments reproduce outputs byte-identically
-(timing columns excepted) at one BLAS thread count.
+Exit codes: 0 success, otherwise the ``exit_code`` of the package error
+raised (see ``errors``), after one ``error: <Class>: <message>`` line on
+stderr; a malformed command line is a usage error, exit 1.  simulate, fit
+and mc accept --seed, and reruns with identical arguments reproduce outputs
+byte-identically (timing columns excepted) at one BLAS thread count.
 """
 
 from __future__ import annotations
@@ -26,17 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import _model, apply_overrides, experiment_from_config, llt_from_config, load_config
-from .errors import (
-    DomainError,
-    ModelViolationError,
-    NumericError,
-    OptimizationError,
-    PartialFailureError,
-    SimulationOverflowError,
-    UsageError,
+from .config import (
+    PRESETS, _model, apply_overrides, experiment_from_config, llt_from_config, load_config,
 )
-from .harness import PRESETS, run_experiment
+from .errors import StableQLError, UsageError
+from .harness import run_experiment
 from .inference import confidence_intervals, studentize
 from .llt import rate_fit
 from .models import MODEL_REGISTRY, build_model
@@ -44,15 +38,6 @@ from .samplers import NoiseSpec, RngStream
 from .sde import ObservationSeries, simulate_fine, thin
 from .sqlik import OptimizerConfig, fit as fit_series
 from .stable_core import StableKernel
-
-_NUMERIC_ERRORS = (
-    DomainError,
-    NumericError,
-    OptimizationError,
-    ModelViolationError,
-    SimulationOverflowError,
-)
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -263,15 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERIC_ERRORS as exc:
+    except StableQLError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except PartialFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""YAML experiment configuration: loading, overrides, and validation.
+"""YAML experiment configuration: presets, loading, overrides, and validation.
 
 Configs are plain YAML mappings, read by one loader for files and for
 dotted ``section.key=value`` overrides alike, so ``true``, ``[1, 2]`` and
@@ -22,8 +22,12 @@ Monte Carlo config keys (see also the shipped presets):
     replicates, base_seed, beta_fit, x0
     optimizer: {restarts, init_windows}
 
-A section given in the config replaces the preset's section as a whole.
-Without a preset, model, noise, designs and beta_fit are required.
+The presets in ``PRESETS`` are config mappings in this vocabulary, and a
+named preset is read as its mapping under the config's non-null keys, so a
+section given in a config file replaces the preset's section as a whole.
+``apply_overrides`` expands the preset of its base mapping first, so a
+``--set`` key changes that one key of the preset's section.  Model, noise,
+designs and beta_fit are required, from the preset or the config.
 
 Local-limit config keys:
 
@@ -36,24 +40,74 @@ Local-limit config keys:
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .errors import StableQLError, UsageError
-from .harness import Design, ExperimentConfig, preset_config
+from .harness import Design, ExperimentConfig
 from .llt import CfModel, make_grid
+from .models import MODEL_REGISTRY
 from .samplers import NoiseSpec
 from .sqlik import OptimizerConfig
 
 __all__ = [
+    "PRESETS",
+    "preset_config",
     "load_config",
     "apply_overrides",
     "experiment_from_config",
     "llt_from_config",
 ]
+
+
+def _preset(model: str, base_seed: int, study: dict) -> dict:
+    """200 replicates of a study, 3 restarts started in theta_true +- 10."""
+    windows = [[t - 10.0, t + 10.0] for t in MODEL_REGISTRY[model]["theta_true"]]
+    return {
+        "model": model, **study, "replicates": 200, "base_seed": base_seed,
+        "optimizer": {"restarts": 3, "init_windows": windows},
+    }
+
+
+_NIG = {
+    "noise": {"kind": "nig", "eta": 5.0},
+    "designs": [{"T": 1.0, "n": n, "fine_factor": 150000 // n} for n in (500, 1000, 3000)],
+    "beta_fit": 1.0,
+}
+_STABLE15 = {
+    "noise": {"kind": "stable", "beta": 1.5},
+    "designs": [
+        {"T": T, "n": n, "fine_factor": 25000 // n}
+        for T in (5.0, 10.0) for n in (100, 200, 500)
+    ],
+    "beta_fit": 1.5,
+}
+
+PRESETS = {
+    "nig-1d": _preset("nonlinear-1d", 202501, _NIG),
+    "nig-2d": _preset("nonlinear-2d", 202502, _NIG),
+    "stable15-1d": _preset("nonlinear-1d", 202503, _STABLE15),
+    "stable15-2d": _preset("nonlinear-2d", 202504, _STABLE15),
+}
+
+
+def _over_preset(cfg):
+    """cfg's non-null keys over the mapping of the preset it names.
+
+    The ``preset`` key itself is dropped; without one, cfg is returned as it
+    is, and so is a cfg that is not a mapping.
+    """
+    if not isinstance(cfg, dict):
+        return cfg
+    name = cfg.get("preset")
+    given = {key: value for key, value in cfg.items() if key != "preset"}
+    if name is None:
+        return given
+    if not isinstance(name, str) or name not in PRESETS:
+        raise UsageError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    return {**PRESETS[name], **{key: v for key, v in given.items() if v is not None}}
 
 
 class _Loader(yaml.SafeLoader):
@@ -85,8 +139,12 @@ def load_config(path: str | Path) -> dict:
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
-    """Apply dotted key=value overrides, creating nested sections as needed."""
-    out = dict(cfg)
+    """Apply dotted key=value overrides, creating nested sections as needed.
+
+    A preset named in cfg is expanded first, so an override changes one key
+    of the preset's mapping.
+    """
+    out = _over_preset(cfg)
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"override {item!r} must have the form key=value")
@@ -168,7 +226,6 @@ def _h_grid(value) -> list:
 
 _FIELDS = {
     "mc config": {
-        "preset": preset_config,
         "model": _model,
         "noise": lambda v: NoiseSpec(**_section(v, "noise", required=("kind",))),
         "designs": _designs,
@@ -202,15 +259,15 @@ _FIELDS = {
 
 def experiment_from_config(cfg: dict) -> ExperimentConfig:
     """Build an ExperimentConfig, starting from a preset when one is named."""
-    has_preset = isinstance(cfg, dict) and cfg.get("preset") is not None
-    required = () if has_preset else ("model", "noise", "designs", "beta_fit")
-    fields = _section(cfg, "mc config", required)
-    base = fields.pop("preset", None)
-    if "model" in fields:
-        fields["model_name"], fields["model_kwargs"] = fields.pop("model")
-    if base is not None:
-        return replace(base, **fields)
+    fields = _section(
+        _over_preset(cfg), "mc config", required=("model", "noise", "designs", "beta_fit")
+    )
+    fields["model_name"], fields["model_kwargs"] = fields.pop("model")
     return ExperimentConfig(**{"replicates": 200, "base_seed": 0, **fields})
+
+
+def preset_config(name: str) -> ExperimentConfig:
+    return experiment_from_config({"preset": name})
 
 
 def llt_from_config(cfg: dict):

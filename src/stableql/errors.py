@@ -1,16 +1,21 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 1, numeric/optimization
-failures -> 2, partial Monte Carlo failure -> 3.
+Each class carries the CLI's exit code for it: UsageError 1, partial Monte
+Carlo failure 3, and every other error (numeric, optimization, domain,
+model violation, simulation overflow) 2.
 """
 
 
 class StableQLError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class UsageError(StableQLError):
     """Bad invocation: unknown config key, missing file, invalid combination."""
+
+    exit_code = 1
 
 
 class DomainError(StableQLError, ValueError):
@@ -40,3 +45,5 @@ class OptimizationError(StableQLError):
 
 class PartialFailureError(StableQLError):
     """Too many Monte Carlo replicates failed to converge."""
+
+    exit_code = 3

@@ -41,8 +41,6 @@ from .stable_core import StableKernel
 __all__ = [
     "Design",
     "ExperimentConfig",
-    "PRESETS",
-    "preset_config",
     "run_experiment",
 ]
 
@@ -105,50 +103,6 @@ class ExperimentConfig:
 
     def build_model(self) -> ModelSpec:
         return build_model(self.model_name, **dict(self.model_kwargs))
-
-
-def _theta0_windows(theta0, half_width=10.0):
-    return tuple((float(t) - half_width, float(t) + half_width) for t in theta0)
-
-
-def _preset(model_name, noise, designs, beta_fit, seed):
-    model = build_model(model_name)
-    return ExperimentConfig(
-        model_name=model_name,
-        noise=noise,
-        designs=designs,
-        replicates=200,
-        base_seed=seed,
-        beta_fit=beta_fit,
-        optimizer=OptimizerConfig(
-            restarts=3, init_windows=_theta0_windows(model.theta_true.full)
-        ),
-    )
-
-
-_NIG_DESIGNS = (Design(1.0, 500, 300), Design(1.0, 1000, 150), Design(1.0, 3000, 50))
-_STABLE_DESIGNS = (
-    Design(5.0, 100, 250), Design(5.0, 200, 125), Design(5.0, 500, 50),
-    Design(10.0, 100, 250), Design(10.0, 200, 125), Design(10.0, 500, 50),
-)
-
-PRESETS = {
-    "nig-1d": lambda: _preset("nonlinear-1d", NoiseSpec("nig", eta=5.0), _NIG_DESIGNS, 1.0, 202501),
-    "nig-2d": lambda: _preset("nonlinear-2d", NoiseSpec("nig", eta=5.0), _NIG_DESIGNS, 1.0, 202502),
-    "stable15-1d": lambda: _preset(
-        "nonlinear-1d", NoiseSpec("stable", beta=1.5), _STABLE_DESIGNS, 1.5, 202503
-    ),
-    "stable15-2d": lambda: _preset(
-        "nonlinear-2d", NoiseSpec("stable", beta=1.5), _STABLE_DESIGNS, 1.5, 202504
-    ),
-}
-
-
-def preset_config(name: str) -> ExperimentConfig:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise UsageError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
 
 
 # -- replicate execution ---------------------------------------------------

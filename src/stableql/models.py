@@ -14,16 +14,18 @@ subexpressions shared.  ``coefficients`` and the six named methods
 model with a true value also carries its Euler walk at that value, a scalar
 ``math`` loop for the simulators.
 
-Because lambdified functions do not pickle, a ModelSpec carries its
-defining expressions and can be rebuilt in worker processes via
-``build_model`` or the registry.
+Built-in models are plain mappings in ``MODEL_REGISTRY``, holding the same
+keyword fields as a config's ``model:`` mapping; ``build_model`` turns
+either into one ModelSpec.  Because lambdified functions do not pickle, a
+ModelSpec carries its defining expressions and can be rebuilt in worker
+processes via ``build_model``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import sympy as sp
@@ -277,65 +279,60 @@ class ModelSpec:
         return d
 
 
-# Built-in models.  Bounds default to a wide box so that the uniform
-# multistart windows of the experiment presets fit inside.
-def _builtin(name, drift, scale, p_a, p_g, theta0, half_width=12.0):
-    bounds = [(t - half_width, t + half_width) for t in theta0]
-    theta = Theta(alpha=np.array(theta0[:p_a]), gamma=np.array(theta0[p_a:]))
-    return lambda: ModelSpec(name, drift, scale, p_a, p_g, bounds, theta_true=theta)
+def _box(theta_true, half_width=12.0):
+    return [[t - half_width, t + half_width] for t in theta_true]
 
 
-MODEL_REGISTRY: dict[str, Callable[[], ModelSpec]] = {
+# Built-in models, as the keyword fields of build_model (the vocabulary of a
+# config's model: mapping).  Bounds default to theta_true +- 12 so that the
+# presets' start windows theta_true +- 10 fit inside.
+MODEL_REGISTRY: dict[str, dict] = {
     # nonlinear mean-reverting drift with bounded perturbation and
     # log-trigonometric scale; 1d variant pins the second coordinates at 0
-    "nonlinear-1d": _builtin(
-        "nonlinear-1d", "a1*x", "exp(g1*cos(x))", 1, 1, (-1.0, 1.5)
-    ),
-    "nonlinear-2d": _builtin(
-        "nonlinear-2d",
-        "a1*x + a2/(1+x**2)",
-        "exp(g1*cos(x) + g2*sin(x))",
-        2, 2, (-1.0, 1.0, 1.5, 0.5),
-    ),
-    "ou-const": _builtin("ou-const", "a1*x", "g1", 1, 1, (-1.0, 1.0), half_width=0.95),
-    "ou-expscale": _builtin("ou-expscale", "a1*x", "exp(g1)", 1, 1, (-1.0, 0.0)),
+    "nonlinear-1d": {
+        "drift": "a1*x", "scale": "exp(g1*cos(x))", "p_alpha": 1, "p_gamma": 1,
+        "bounds": _box([-1.0, 1.5]), "theta_true": [-1.0, 1.5],
+    },
+    "nonlinear-2d": {
+        "drift": "a1*x + a2/(1+x**2)", "scale": "exp(g1*cos(x) + g2*sin(x))",
+        "p_alpha": 2, "p_gamma": 2,
+        "bounds": _box([-1.0, 1.0, 1.5, 0.5]), "theta_true": [-1.0, 1.0, 1.5, 0.5],
+    },
+    "ou-const": {
+        "drift": "a1*x", "scale": "g1", "p_alpha": 1, "p_gamma": 1,
+        "bounds": _box([-1.0, 1.0], half_width=0.95), "theta_true": [-1.0, 1.0],
+    },
+    "ou-expscale": {
+        "drift": "a1*x", "scale": "exp(g1)", "p_alpha": 1, "p_gamma": 1,
+        "bounds": _box([-1.0, 0.0]), "theta_true": [-1.0, 0.0],
+    },
 }
 
+_REQUIRED = ("drift", "scale", "p_alpha", "p_gamma", "bounds")
 
-def build_model(
-    name: str | None = None,
-    *,
-    drift: str | None = None,
-    scale: str | None = None,
-    p_alpha: int | None = None,
-    p_gamma: int | None = None,
-    bounds=None,
-    theta_true=None,
-) -> ModelSpec:
-    """Build a model from the registry or from explicit expressions."""
-    if name is not None and drift is None:
-        try:
-            spec = MODEL_REGISTRY[name]()
-        except KeyError:
-            raise UsageError(
-                f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}"
-            ) from None
-        if bounds is not None or theta_true is not None:
-            theta = spec.theta_true
-            if theta_true is not None:
-                theta = Theta.from_full(np.asarray(theta_true, float), spec.p_alpha)
-            spec = ModelSpec(
-                spec.name, spec.drift_expr, spec.scale_expr,
-                spec.p_alpha, spec.p_gamma,
-                bounds if bounds is not None else spec.bounds,
-                theta_true=theta,
-            )
-        return spec
-    if drift is None or scale is None or p_alpha is None or p_gamma is None or bounds is None:
+
+def build_model(name: str | None = None, **fields) -> ModelSpec:
+    """Build a model from the keyword fields of a MODEL_REGISTRY entry.
+
+    When ``name`` is a registry key and no drift is given, the registry
+    entry supplies the fields not given.  None counts as absent.
+    """
+    unknown = sorted(set(fields) - {*_REQUIRED, "theta_true"})
+    if unknown:
+        raise TypeError(f"build_model() got unexpected keyword arguments {unknown}")
+    given = {key: value for key, value in fields.items() if value is not None}
+    if name is not None and "drift" not in given:
+        if name not in MODEL_REGISTRY:
+            raise UsageError(f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}")
+        given = {**MODEL_REGISTRY[name], **given}
+    if any(key not in given for key in _REQUIRED):
         raise UsageError(
             "expression models need drift, scale, p_alpha, p_gamma and bounds"
         )
-    theta = None
-    if theta_true is not None:
-        theta = Theta.from_full(np.asarray(theta_true, float), p_alpha)
-    return ModelSpec(name or "custom", drift, scale, p_alpha, p_gamma, bounds, theta_true=theta)
+    theta = given.get("theta_true")
+    if theta is not None:
+        theta = Theta.from_full(np.asarray(theta, float), given["p_alpha"])
+    return ModelSpec(
+        name or "custom", given["drift"], given["scale"], given["p_alpha"],
+        given["p_gamma"], given["bounds"], theta_true=theta,
+    )

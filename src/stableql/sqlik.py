@@ -12,8 +12,8 @@ Each point gets one pass over the observations: one ModelSpec.coefficients
 call gives a, c and their first derivatives, from which the residuals
 follow.  The pass is remembered on the Theta, so quasi_loglik and
 quasi_score at the same Theta, as in the fit's objective, share it.  log phi,
-g, k and dg come from a StableKernel of the same beta; at beta = 1 that
-kernel is the closed-form Cauchy one, built on demand when none is given.
+g, k and dg come from the StableKernel passed in, whose beta must be the
+likelihood's; at beta = 1 it is the closed-form Cauchy one.
 Analytic gradient and Hessian:
 
     dH/dalpha = -h^(1-1/beta) sum_j (da_{j-1}/c_{j-1}) g(eps_j)
@@ -87,28 +87,21 @@ def quasi_loglik(
     model: ModelSpec,
     theta: Theta,
     beta: float,
-    kernel: StableKernel | None = None,
+    kernel: StableKernel,
 ) -> float:
     """H(theta); finite for any admissible theta since phi > 0 everywhere."""
-    kernel = _kernel_scores(beta, kernel)
+    _check_kernel(beta, kernel)
     c, eps, _, _ = _pass(obs, model, theta, beta)
     return float(
         np.sum(kernel.log_density(eps) - np.log(c)) - obs.n / beta * np.log(obs.h)
     )
 
 
-def _kernel_scores(beta: float, kernel: StableKernel | None) -> StableKernel:
-    """The kernel every likelihood function evaluates: the given one, whose
-    beta must equal the fit's, or the Cauchy kernel when beta = 1."""
-    if beta == 1.0 and kernel is None:
-        kernel = StableKernel(1.0)
-    if kernel is None:
-        raise DomainError("beta != 1 requires a StableKernel")
+def _check_kernel(beta: float, kernel: StableKernel) -> None:
     if kernel.beta != beta:
         raise DomainError(
             f"kernel is for beta={kernel.beta}, but the likelihood uses beta={beta}"
         )
-    return kernel
 
 
 def quasi_score(
@@ -116,10 +109,10 @@ def quasi_score(
     model: ModelSpec,
     theta: Theta,
     beta: float,
-    kernel: StableKernel | None = None,
+    kernel: StableKernel,
 ) -> np.ndarray:
     """Gradient of H(theta), length p_alpha + p_gamma."""
-    kernel = _kernel_scores(beta, kernel)
+    _check_kernel(beta, kernel)
     c, eps, da, dc = _pass(obs, model, theta, beta)
     hpow = rate_exponent(obs.h, beta)
     gv = kernel.g(eps)
@@ -134,10 +127,10 @@ def quasi_hessian(
     model: ModelSpec,
     theta: Theta,
     beta: float,
-    kernel: StableKernel | None = None,
+    kernel: StableKernel,
 ) -> np.ndarray:
     """Symmetric Hessian of H(theta) from analytic second derivatives."""
-    kernel = _kernel_scores(beta, kernel)
+    _check_kernel(beta, kernel)
     c, eps, da, dc = _pass(obs, model, theta, beta)
     xl = obs.x[:-1]
     dda = model.drift_ddalpha(xl, theta.alpha)
@@ -222,7 +215,7 @@ def fit(
     obs: ObservationSeries,
     model: ModelSpec,
     beta: float,
-    kernel: StableKernel | None = None,
+    kernel: StableKernel,
     opt: OptimizerConfig | None = None,
     rng: RngStream | None = None,
 ) -> FitResult:
@@ -233,7 +226,7 @@ def fit(
     """
     opt = opt or OptimizerConfig()
     rng = rng or RngStream(0, 0)
-    kernel = _kernel_scores(beta, kernel)
+    _check_kernel(beta, kernel)
 
     wlo, whi = _start_box(model, opt.init_windows)
     gen = rng.generator(purpose=7)

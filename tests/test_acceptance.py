@@ -23,7 +23,8 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from stableql.cli import main as cli_main
-from stableql.harness import Design, preset_config, run_experiment
+from stableql.config import preset_config
+from stableql.harness import Design, run_experiment
 from stableql.models import Theta, build_model
 from stableql.samplers import NoiseSpec, RngStream, sample_nig, sample_stable
 from stableql.sde import simulate_fine, thin

@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
+from stableql import cli
 from stableql.cli import main
+from stableql.errors import (
+    DomainError,
+    ModelViolationError,
+    NumericError,
+    OptimizationError,
+    PartialFailureError,
+    SimulationOverflowError,
+    StableQLError,
+    UsageError,
+)
 
 
 def run(capsys, *argv):
@@ -53,6 +64,30 @@ def test_parse_errors_exit_1(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (UsageError("bad key"), 1),
+        (DomainError("out of domain"), 2),
+        (NumericError("no convergence"), 2),
+        (ModelViolationError("negative scale"), 2),
+        (SimulationOverflowError(3, float("inf")), 2),
+        (OptimizationError("all restarts failed"), 2),
+        (StableQLError("other"), 2),
+        (PartialFailureError("too many failures"), 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_error_exit_codes(capsys, monkeypatch, error, code):
+    def command(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "constants", command)
+    assert run(capsys, "constants", "--beta", "1.5") == (
+        code, "", f"error: {type(error).__name__}: {error}\n"
+    )
 
 
 class TestSimulateAndFit:

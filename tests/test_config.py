@@ -1,19 +1,27 @@
 """Config loading, overrides, and validation."""
 
+import copy
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stableql.config import (
+    PRESETS,
     apply_overrides,
     experiment_from_config,
     llt_from_config,
     load_config,
+    preset_config,
 )
 from stableql.errors import UsageError
+from stableql.harness import Design, ExperimentConfig
+from stableql.models import ModelSpec
+from stableql.samplers import NoiseSpec
+from stableql.sqlik import OptimizerConfig
 
 
 class TestLoadConfig:
@@ -142,6 +150,87 @@ class TestExperimentFromConfig:
         )
         assert config.optimizer.restarts == 5
         assert config.optimizer.init_windows == ((-2.0, 0.0), (1.0, 2.0))
+
+
+_NIG_DESIGNS = (Design(1.0, 500, 300), Design(1.0, 1000, 150), Design(1.0, 3000, 50))
+_STABLE_DESIGNS = (
+    Design(5.0, 100, 250), Design(5.0, 200, 125), Design(5.0, 500, 50),
+    Design(10.0, 100, 250), Design(10.0, 200, 125), Design(10.0, 500, 50),
+)
+_WINDOWS_1D = ((-11.0, 9.0), (-8.5, 11.5))
+_WINDOWS_2D = ((-11.0, 9.0), (-9.0, 11.0), (-8.5, 11.5), (-9.5, 10.5))
+_PINNED = {
+    "nig-1d": ExperimentConfig(
+        model_name="nonlinear-1d", noise=NoiseSpec("nig", eta=5.0), designs=_NIG_DESIGNS,
+        replicates=200, base_seed=202501, beta_fit=1.0,
+        optimizer=OptimizerConfig(restarts=3, init_windows=_WINDOWS_1D),
+    ),
+    "nig-2d": ExperimentConfig(
+        model_name="nonlinear-2d", noise=NoiseSpec("nig", eta=5.0), designs=_NIG_DESIGNS,
+        replicates=200, base_seed=202502, beta_fit=1.0,
+        optimizer=OptimizerConfig(restarts=3, init_windows=_WINDOWS_2D),
+    ),
+    "stable15-1d": ExperimentConfig(
+        model_name="nonlinear-1d", noise=NoiseSpec("stable", beta=1.5),
+        designs=_STABLE_DESIGNS, replicates=200, base_seed=202503, beta_fit=1.5,
+        optimizer=OptimizerConfig(restarts=3, init_windows=_WINDOWS_1D),
+    ),
+    "stable15-2d": ExperimentConfig(
+        model_name="nonlinear-2d", noise=NoiseSpec("stable", beta=1.5),
+        designs=_STABLE_DESIGNS, replicates=200, base_seed=202504, beta_fit=1.5,
+        optimizer=OptimizerConfig(restarts=3, init_windows=_WINDOWS_2D),
+    ),
+}
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_pinned(self, name):
+        assert sorted(PRESETS) == sorted(_PINNED)
+        config = preset_config(name)
+        assert config == _PINNED[name]
+        assert repr(config) == repr(_PINNED[name])
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_yaml_round_trip(self, name, tmp_path):
+        path = tmp_path / "preset.yaml"
+        path.write_text(yaml.safe_dump(PRESETS[name]))
+        assert experiment_from_config(load_config(path)) == preset_config(name)
+
+    def test_parsing_compiles_no_model(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a preset compiled a model")
+
+        monkeypatch.setattr(ModelSpec, "__init__", refuse)
+        preset_config("nig-2d")
+
+    def test_presets_unchanged_by_reading(self):
+        before = copy.deepcopy(PRESETS)
+        cfg = apply_overrides(
+            {"preset": "nig-2d"},
+            ["optimizer.restarts=5", "noise.eta=3", "designs=[{T: 1, n: 10, fine_factor: 2}]"],
+        )
+        experiment_from_config(cfg)
+        experiment_from_config({"preset": "stable15-1d", "optimizer": {"restarts": 1}})
+        assert PRESETS == before
+
+    def test_set_changes_one_key_of_a_section(self):
+        cfg = apply_overrides({"preset": "nig-1d"}, ["optimizer.restarts=5"])
+        optimizer = experiment_from_config(cfg).optimizer
+        assert optimizer.restarts == 5
+        assert optimizer.init_windows == ((-11.0, 9.0), (-8.5, 11.5))
+
+    def test_config_section_replaces_the_presets_whole(self):
+        config = experiment_from_config({"preset": "nig-1d", "optimizer": {"restarts": 5}})
+        assert config.optimizer == OptimizerConfig(restarts=5)
+
+    def test_null_counts_as_absent(self):
+        config = experiment_from_config({"preset": "nig-1d", "optimizer": None, "x0": None})
+        assert config == preset_config("nig-1d")
+
+    def test_unknown_preset_named_by_overrides(self):
+        with pytest.raises(UsageError, match="unknown preset 'nope'"):
+            apply_overrides({"preset": "nope"}, ["replicates=1"])
 
 
 class TestLltFromConfig:

@@ -16,13 +16,8 @@ from stableql.errors import (
     SimulationOverflowError,
     UsageError,
 )
-from stableql.harness import (
-    Design,
-    ExperimentConfig,
-    PRESETS,
-    preset_config,
-    run_experiment,
-)
+from stableql.config import PRESETS, preset_config
+from stableql.harness import Design, ExperimentConfig, run_experiment
 from stableql.samplers import NoiseSpec
 from stableql.sqlik import OptimizerConfig
 

@@ -27,6 +27,24 @@ class TestRegistry:
         with pytest.raises(UsageError, match="unknown model"):
             build_model("no-such-model")
 
+    def test_override_compiles_one_model(self, monkeypatch):
+        calls = []
+        init = ModelSpec.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "__init__", counting)
+        model = build_model("nonlinear-2d", theta_true=[-0.5, 1.0, 1.5, 0.5])
+        assert calls == ["nonlinear-2d"]
+        assert list(model.theta_true.full) == [-0.5, 1.0, 1.5, 0.5]
+        assert model.bounds == build_model("nonlinear-2d").bounds
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(TypeError, match="theta"):
+            build_model("nonlinear-1d", theta=[0.0, 1.0])
+
     def test_nonlinear_2d_values(self, nonlinear_2d):
         x = np.array([0.0, 1.0])
         theta = nonlinear_2d.theta_true

@@ -68,18 +68,14 @@ class TestResiduals:
 
 
 class TestLoglik:
-    def test_cauchy_branch_matches_manual_assembly(self, stable_series, nonlinear_1d):
+    def test_cauchy_branch_matches_manual_assembly(self, stable_series, nonlinear_1d, kernel1):
         theta = perturbed(nonlinear_1d, 0.1)
-        explicit = quasi_loglik(stable_series, nonlinear_1d, theta, 1.0)
+        explicit = quasi_loglik(stable_series, nonlinear_1d, theta, 1.0, kernel1)
         # same quantity assembled independently from the Cauchy density
         c = nonlinear_1d.scale(stable_series.x[:-1], theta.gamma)
         eps = residuals(stable_series, nonlinear_1d, theta, 1.0)
         manual = -np.sum(np.log(np.pi * stable_series.h) + np.log(c) + np.log1p(eps**2))
         assert explicit == pytest.approx(manual, rel=1e-12)
-
-    def test_requires_kernel_for_general_beta(self, stable_series, nonlinear_1d):
-        with pytest.raises(DomainError):
-            quasi_loglik(stable_series, nonlinear_1d, nonlinear_1d.theta_true, 1.5)
 
     @pytest.mark.parametrize(
         "function", [quasi_loglik, quasi_score, quasi_hessian],
@@ -167,7 +163,7 @@ class TestOnePass:
         quasi_hessian(stable_series, nonlinear_1d, theta, 1.5, kernel15)
         assert len(calls) == 1
         # another beta is another pass
-        quasi_score(stable_series, nonlinear_1d, theta, 1.0)
+        quasi_score(stable_series, nonlinear_1d, theta, 1.0, StableKernel(1.0))
         assert len(calls) == 2
 
     def test_theta_on_a_second_series_gets_its_own_score(
@@ -251,13 +247,13 @@ class TestFit:
         assert np.array_equal(a.theta_hat.full, b.theta_hat.full)
         assert a.loglik == b.loglik
 
-    def test_all_restarts_failing_names_violation(self, stable_series):
+    def test_all_restarts_failing_names_violation(self, stable_series, kernel1):
         model = build_model(
             drift="a1*x", scale="g1", p_alpha=1, p_gamma=1,
             bounds=[(-2, 2), (-2.0, -0.1)],
         )
         with pytest.raises(OptimizationError, match="model violation"):
-            fit(stable_series, model, 1.0, opt=OptimizerConfig(restarts=2),
+            fit(stable_series, model, 1.0, kernel1, opt=OptimizerConfig(restarts=2),
                 rng=RngStream(3, 0))
 
     def test_kernel_beta_must_match(self, stable_series, nonlinear_1d, kernel1):
