@@ -35,15 +35,18 @@ Local-limit config keys:
          gh_lambda, gh_eta}
     h_values: explicit list, or h_grid: {start, stop, count} in log10 units
     grid: {half_width, spacing}
+
+PyYAML is imported by the first parse of config text, not by this module, so
+configs built as mappings (presets, the benchmark's) never load it.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import StableQLError, UsageError
 from .harness import Design, ExperimentConfig
@@ -110,20 +113,27 @@ def _over_preset(cfg):
     return {**PRESETS[name], **{key: v for key, v in given.items() if v is not None}}
 
 
-class _Loader(yaml.SafeLoader):
-    """Safe YAML loading that also reads bare scientific notation (5e0) as a float."""
+@cache
+def _loader():
+    """Safe YAML loader that also reads bare scientific notation (5e0) as a float."""
+    import yaml
 
+    class _Loader(yaml.SafeLoader):
+        pass
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
+    _Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
+    return _Loader
 
 
 def _parse(text: str, what: str):
+    import yaml
+
     try:
-        return yaml.load(text, Loader=_Loader)
+        return yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:
         raise UsageError(f"cannot parse {what}: {exc}") from exc
 

@@ -24,7 +24,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,9 +110,17 @@ _WORKER_CACHE: dict = {}
 
 
 def _cached_context(config: ExperimentConfig):
+    """The (model, kernel) pair of a config, built once per process.
+
+    The kernel's information constants are computed here too, so pool
+    workers forked after the first call inherit them, and the imports they
+    need, instead of integrating them again each.
+    """
     key = (config.model_name, config.model_kwargs, config.beta_fit)
     if key not in _WORKER_CACHE:
-        _WORKER_CACHE[key] = (config.build_model(), StableKernel(config.beta_fit))
+        model, kernel = config.build_model(), StableKernel(config.beta_fit)
+        kernel.info_constants()
+        _WORKER_CACHE[key] = (model, kernel)
     return _WORKER_CACHE[key]
 
 
@@ -292,6 +299,8 @@ def run_experiment(
     if workers <= 1:
         batches = [_run_replicate(config, rep) for rep in range(config.replicates)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(
                 _run_replicate, itertools.repeat(config), range(config.replicates),

@@ -18,27 +18,23 @@ Built-in models are plain mappings in ``MODEL_REGISTRY``, holding the same
 keyword fields as a config's ``model:`` mapping; ``build_model`` turns
 either into one ModelSpec.  Because lambdified functions do not pickle, a
 ModelSpec carries its defining expressions and can be rebuilt in worker
-processes via ``build_model``.
+processes via ``build_model``.  sympy is imported by the first model build,
+not by this module, so the paths that need no model (the local-limit lab,
+the ``constants`` command) start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
-from sympy.printing.pycode import PythonCodePrinter
 
 from .errors import DomainError, UsageError
 
 __all__ = ["ModelSpec", "Theta", "build_model", "MODEL_REGISTRY"]
-
-_ALLOWED_FUNCS = {
-    "exp": sp.exp, "log": sp.log, "sin": sp.sin, "cos": sp.cos,
-    "tan": sp.tan, "sqrt": sp.sqrt, "pow": sp.Pow, "Abs": sp.Abs,
-}
 
 
 @dataclass(frozen=True)
@@ -87,6 +83,8 @@ def _lambdify_block(exprs, args):
     constant expression, such as the derivative of the scale g1, is
     broadcast to x.
     """
+    import sympy as sp
+
     func = sp.lambdify(args, exprs, modules="numpy", cse=True)
 
     def evaluate(x, params):
@@ -96,18 +94,24 @@ def _lambdify_block(exprs, args):
     return evaluate
 
 
-class _ScalarPrinter(PythonCodePrinter):
-    """Python-float code in which a non-integer power is ``math.pow``.
+@cache
+def _scalar_printer_class():
+    """Printer class of Python-float code in which a non-integer power is ``math.pow``.
 
     ``math.pow`` raises ValueError for a negative base, where ``**`` would
     return a complex number that no finiteness check accepts.
     """
+    import sympy as sp
+    from sympy.printing.pycode import PythonCodePrinter
 
-    def _print_Pow(self, expr, rational=False):
-        if expr.exp.is_integer or expr.exp in (sp.S.Half, -sp.S.Half):
-            return super()._print_Pow(expr, rational=rational)
-        base, exp = self._print(expr.base), self._print(expr.exp)
-        return f"{self._module_format('math.pow')}({base}, {exp})"
+    class _ScalarPrinter(PythonCodePrinter):
+        def _print_Pow(self, expr, rational=False):
+            if expr.exp.is_integer or expr.exp in (sp.S.Half, -sp.S.Half):
+                return super()._print_Pow(expr, rational=rational)
+            base, exp = self._print(expr.base), self._print(expr.exp)
+            return f"{self._module_format('math.pow')}({base}, {exp})"
+
+    return _ScalarPrinter
 
 
 def _compile_euler_walk(x, a_sym, c_sym, values):
@@ -122,10 +126,12 @@ def _compile_euler_walk(x, a_sym, c_sym, values):
     ``error`` together with the states before it.  A state that becomes
     non-finite without an exception is returned like any other.
     """
+    import sympy as sp
+
     delta, dj = sp.symbols("delta dj")
     subs = {s: sp.Float(float(v), 17) for s, v in values.items()}
     expr = (x + a_sym * delta + c_sym * dj).subs(subs)
-    printer = _ScalarPrinter(
+    printer = _scalar_printer_class()(
         {"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True}
     )
     source = (
@@ -189,11 +195,16 @@ class ModelSpec:
         self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
         self.theta_true = theta_true
 
+        import sympy as sp
+
         x = sp.Symbol("x")
         alphas = [sp.Symbol(f"a{i+1}") for i in range(p_alpha)]
         gammas = [sp.Symbol(f"g{i+1}") for i in range(p_gamma)]
-        local = dict(_ALLOWED_FUNCS)
-        local["x"] = x
+        # the functions an expression may call, and its variables
+        local = {
+            "exp": sp.exp, "log": sp.log, "sin": sp.sin, "cos": sp.cos,
+            "tan": sp.tan, "sqrt": sp.sqrt, "pow": sp.Pow, "Abs": sp.Abs, "x": x,
+        }
         local.update({str(s): s for s in alphas + gammas})
         try:
             a_sym = sp.sympify(drift_expr, locals=local)

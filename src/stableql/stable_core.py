@@ -29,6 +29,10 @@ g and dg.
 The scalar information constants are
 
     c_alpha = int g^2 phi dy,   c_gamma = int k^2 phi dy.
+
+scipy.interpolate is imported by the first tabulated (beta != 1) kernel and
+scipy.integrate by the first info_constants call, not by this module, so a
+Cauchy kernel and the local-limit lab load neither.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, NumericError
@@ -251,6 +253,8 @@ class StableKernel:
 
     def _splines(self):
         """Interpolants of log phi, g and dg on [-TAIL_CUTOFF, TAIL_CUTOFF]."""
+        from scipy.interpolate import CubicHermiteSpline, CubicSpline
+
         half_grid = _half_grid()
         phi, dphi, ddphi = self._build_tables()
         g = dphi / phi
@@ -347,6 +351,7 @@ class StableKernel:
         """
         if self._info_constants is not None:
             return self._info_constants
+        from scipy import integrate
 
         def ga(y):
             return self.g(y) ** 2 * self.density(y)

@@ -1,6 +1,11 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and each path
+imports only what it runs: sympy, PyYAML, scipy.integrate, scipy.interpolate
+and the process pool load at their first use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +15,7 @@ import stableql
 _MODULES = sorted(
     path for path in Path(stableql.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
+_SRC = str(Path(stableql.__file__).resolve().parents[1])
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -31,3 +37,43 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Those of the modules that running code in a fresh interpreter loads."""
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {modules!r} if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_import_loads_no_path_specific_module():
+    heavy = ("sympy", "yaml", "scipy.integrate", "scipy.interpolate", "concurrent.futures.process")
+    assert _loaded("import stableql", heavy) == []
+
+
+def test_cauchy_rate_fit_loads_no_model_compiler_or_spline():
+    code = (
+        "from stableql import CfModel, StableKernel, rate_fit\n"
+        "from stableql.llt import make_grid\n"
+        "cf = CfModel('gh_nig', 1.0, gh_lambda=-0.5, gh_eta=5.0)\n"
+        "rate_fit(cf, StableKernel(1.0), [1e-1, 1e-2, 1e-3, 1e-4], grid=make_grid(30.0, 0.05))\n"
+    )
+    heavy = ("sympy", "yaml", "scipy.integrate", "scipy.interpolate")
+    assert _loaded(code, heavy) == []
+
+
+def test_constants_command_loads_no_model_compiler_or_yaml():
+    # python -m stableql.cli constants --beta 1.5
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['stableql.cli', 'constants', '--beta', '1.5']\n"
+        "try:\n"
+        "    runpy.run_module('stableql.cli', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+    )
+    assert _loaded(code, ("sympy", "yaml")) == []
