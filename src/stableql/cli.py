@@ -39,6 +39,9 @@ from .sde import ObservationSeries, simulate_fine, thin
 from .sqlik import OptimizerConfig, fit as fit_series
 from .stable_core import StableKernel
 
+_SIMULATE_DEFAULTS = {"stable": {"beta": 1.5}, "nig": {"eta": 5.0}}
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -69,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate one observed path to CSV")
     p.add_argument("--model", default="nonlinear-1d",
                    help=f"model name, one of {sorted(MODEL_REGISTRY)}")
-    p.add_argument("--noise-kind", choices=["stable", "nig"], default="stable")
-    p.add_argument("--beta", type=float, default=None, help="stable noise index")
-    p.add_argument("--eta", type=float, default=None, help="NIG steepness")
+    p.add_argument("--noise-kind", choices=sorted(_SIMULATE_DEFAULTS), default="stable")
+    p.add_argument("--beta", type=float, default=None, help="stable noise index, default 1.5")
+    p.add_argument("--eta", type=float, default=None, help="NIG steepness, default 5")
     p.add_argument("--T", type=float, default=5.0, help="time horizon")
     p.add_argument("--n", type=int, default=500, help="number of observations")
     p.add_argument("--fine-factor", type=int, default=50,
@@ -122,10 +125,9 @@ def _cmd_constants(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = build_model(args.model)
-    if args.noise_kind == "stable":
-        noise = NoiseSpec("stable", beta=args.beta if args.beta is not None else 1.5)
-    else:
-        noise = NoiseSpec("nig", eta=args.eta if args.eta is not None else 5.0)
+    given = {name: value for name, value in (("beta", args.beta), ("eta", args.eta))
+             if value is not None}
+    noise = NoiseSpec(args.noise_kind, **{**_SIMULATE_DEFAULTS[args.noise_kind], **given})
     rng = RngStream(args.seed, 0)
     fine = simulate_fine(model, noise, args.T, args.n * args.fine_factor, args.x0, rng)
     obs = thin(fine, args.fine_factor)

@@ -17,7 +17,7 @@ Monte Carlo config keys (see also the shipped presets):
     preset: name                 start from a named preset, then override
     model: registry name, or a mapping with drift/scale/p_alpha/p_gamma/
            bounds/theta_true (and optionally name) for expression models
-    noise: {kind: stable|nig, beta: ..., eta: ...}
+    noise: driver mapping, as cf below; its kind must have a sampler
     designs: list of {T, n, fine_factor}
     replicates, base_seed, beta_fit, x0
     optimizer: {restarts, init_windows}
@@ -31,8 +31,8 @@ designs and beta_fit are required, from the preset or the config.
 
 Local-limit config keys:
 
-    cf: {kind: stable|tempered_stable|gh_nig, beta, lambda_tempering,
-         gh_lambda, gh_eta}
+    cf: {kind: stable|nig|tempered_stable|gh_nig, beta, eta,
+         lambda_tempering, gh_lambda, gh_eta}, read by samplers.NoiseSpec
     h_values: explicit list, or h_grid: {start, stop, count} in log10 units
     grid: {half_width, spacing}
 
@@ -42,6 +42,7 @@ configs built as mappings (presets, the benchmark's) never load it.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from functools import cache
 from pathlib import Path
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import StableQLError, UsageError
 from .harness import Design, ExperimentConfig
-from .llt import CfModel, make_grid
+from .llt import make_grid
 from .models import MODEL_REGISTRY
 from .samplers import NoiseSpec
 from .sqlik import OptimizerConfig
@@ -234,6 +235,9 @@ def _h_grid(value) -> list:
     return list(10.0 ** np.linspace(spec["start"], spec["stop"], spec["count"]))
 
 
+# The one key table of the noise: and cf: sections: NoiseSpec's fields.
+_DRIVER_KEYS = {f.name: str if f.name == "kind" else float for f in dataclasses.fields(NoiseSpec)}
+
 _FIELDS = {
     "mc config": {
         "model": _model,
@@ -246,7 +250,7 @@ _FIELDS = {
         "optimizer": lambda v: OptimizerConfig(**_section(v, "optimizer")),
     },
     "llt config": {
-        "cf": lambda v: CfModel(**_section(v, "cf", required=("kind", "beta"))),
+        "cf": lambda v: NoiseSpec(**_section(v, "cf", required=("kind",))),
         "h_values": _floats,
         "h_grid": _h_grid,
         "grid": lambda v: make_grid(**_section(v, "grid")),
@@ -255,13 +259,10 @@ _FIELDS = {
         "name": str, "drift": str, "scale": str, "p_alpha": _int, "p_gamma": _int,
         "bounds": _pairs, "theta_true": _floats,
     },
-    "noise": {"kind": str, "beta": float, "eta": float},
+    "noise": _DRIVER_KEYS,
     "designs": {"T": float, "n": _int, "fine_factor": _int},
     "optimizer": {"restarts": _int, "init_windows": _pairs},
-    "cf": {
-        "kind": str, "beta": float,
-        "lambda_tempering": float, "gh_lambda": float, "gh_eta": float,
-    },
+    "cf": _DRIVER_KEYS,
     "h_grid": {"start": float, "stop": float, "count": _int},
     "grid": {"half_width": float, "spacing": float},
 }
@@ -281,7 +282,7 @@ def preset_config(name: str) -> ExperimentConfig:
 
 
 def llt_from_config(cfg: dict):
-    """Returns (CfModel, h_values list, grid array) for the llt subcommand."""
+    """Returns (NoiseSpec, h_values list, grid array) for the llt subcommand."""
     fields = _section(cfg, "llt config", required=("cf",))
     if "h_values" in fields:
         h_values = list(fields["h_values"])

@@ -90,6 +90,7 @@ class ExperimentConfig:
     model_kwargs: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
+        self.noise.require_sampler()
         if self.replicates < 1:
             raise DomainError(f"replicates must be >= 1, got {self.replicates}")
         if not (1.0 <= self.beta_fit < 2.0):

@@ -1,29 +1,22 @@
 """Small-time local limit lab: density inversion and L1 decay-rate fits.
 
-For a symmetric pure-jump Levy process J, the rescaled increment
-h^(-1/beta) J_h has real characteristic function exp(psi_h(u)) with
-
-    psi_h(u) = h * psi_1(h^(-1/beta) u),
-
-where psi_1 is the unit-time characteristic exponent.  Locally stable
-drivers satisfy psi_h(u) -> -|u|^beta as h -> 0, and the increment density
-f_h converges to the stable density phi_beta in L1 at a family-specific
-rate: h^(1/beta) for exponentially tempered beta-stable noise and
-h log(1/h) for generalized hyperbolic (locally Cauchy) noise.  This module
-computes f_h by cosine-transform inversion, measures the L1 distance to
-phi_beta, and fits log-log decay slopes.
+For a driver J of small-time stable index beta, the density f_h of
+h^(-1/beta) J_h (characteristic function exp(psi_h), psi_h =
+``NoiseSpec.exponent``) converges to the stable density phi_beta in L1 at a
+family-specific rate: h^(1/beta) for exponentially tempered beta-stable noise
+and h log(1/h) for generalized hyperbolic (locally Cauchy) noise, NIG
+included.  This module computes f_h by cosine-transform inversion, measures
+the L1 distance to phi_beta, and fits log-log decay slopes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kve
 
 from .errors import DomainError, NumericError, UsageError
+from .samplers import NoiseSpec
 from .stable_core import (
     PANEL_ORDER,
     PANEL_WIDTH,
@@ -42,83 +35,9 @@ __all__ = [
     "rate_fit",
 ]
 
-
-# -- characteristic exponent models ---------------------------------------
-
-
-@dataclass(frozen=True)
-class CfModel:
-    """Characteristic exponent psi_h of the rescaled increment h^(-1/beta)J_h.
-
-    kind 'stable': exact self-similarity, psi_h(u) = -u^beta for every h.
-    kind 'tempered_stable': exponentially tempered beta-stable with tempering
-    rate lambda_tempering, beta in [1, 2).
-    kind 'gh_nig': symmetric generalized hyperbolic GH(gh_lambda, gh_eta, 1),
-    locally Cauchy, so beta = 1; gh_lambda = -1/2 is the NIG subfamily.
-    """
-
-    kind: str
-    beta: float
-    lambda_tempering: float | None = None
-    gh_lambda: float | None = None
-    gh_eta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("stable", "tempered_stable", "gh_nig"):
-            raise DomainError(f"unknown cf model kind {self.kind!r}")
-        if not (0.0 < self.beta < 2.0):
-            raise DomainError(f"beta must be in (0,2), got {self.beta}")
-        if self.kind == "tempered_stable":
-            if self.lambda_tempering is None or self.lambda_tempering <= 0:
-                raise DomainError("tempered_stable requires lambda_tempering > 0")
-            if self.beta < 1.0:
-                raise DomainError("tempered_stable closed forms require beta >= 1")
-        if self.kind == "gh_nig":
-            if self.gh_lambda is None or self.gh_eta is None or self.gh_eta <= 0:
-                raise DomainError("gh_nig requires gh_lambda and gh_eta > 0")
-            if self.beta != 1.0:
-                raise DomainError("gh_nig is locally Cauchy; beta must be 1")
-
-    def exponent(self, u, h: float) -> np.ndarray:
-        """psi_h(u) on u > 0; real-valued and nonpositive."""
-        if h <= 0:
-            raise DomainError(f"h must be positive, got {h}")
-        u = np.asarray(u, float)
-        if np.any(u <= 0.0):
-            raise DomainError("exponent is defined for u > 0")
-        if self.kind == "stable":
-            return -(u**self.beta)
-        if self.kind == "tempered_stable":
-            lam = self.lambda_tempering
-            if self.beta == 1.0:
-                return (
-                    lam * h * np.log1p(u**2 / (lam * h) ** 2)
-                    - 2.0 * u * np.arctan(u / (lam * h))
-                ) / np.pi
-            b = self.beta
-            cb = stable_tail_coefficient(b)
-            hp = h ** (1.0 / b)
-            return (
-                2.0
-                * cb
-                * gamma_fn(-b)
-                * (
-                    (lam**2 * hp**2 + u**2) ** (b / 2.0)
-                    * np.cos(b * np.arctan(u / (lam * hp)))
-                    - lam**b * h
-                )
-            )
-        return h * self._gh_unit_exponent(u / h)
-
-    def _gh_unit_exponent(self, v: np.ndarray) -> np.ndarray:
-        """log of the GH(lambda, eta, 1) characteristic function at v."""
-        lam, eta = self.gh_lambda, self.gh_eta
-        s = np.sqrt(eta**2 + v**2)
-        # log K_lam(x) = log kve(lam, x) - x (kve is the exponentially
-        # scaled Bessel function, stable for large arguments)
-        log_k_s = np.log(kve(lam, s)) - s
-        log_k_eta = math.log(kve(lam, eta)) - eta
-        return 0.5 * lam * (2.0 * math.log(eta) - np.log(eta**2 + v**2)) + log_k_s - log_k_eta
+# The lab's former name for the driver type.  The benchmark's tracer wraps
+# stableql.llt.CfModel.exponent, so the name stays importable from here.
+CfModel = NoiseSpec
 
 
 # -- density inversion and L1 metrics -------------------------------------
@@ -135,7 +54,7 @@ def make_grid(half_width: float = 60.0, spacing: float = 1e-2) -> np.ndarray:
     return np.arange(-m, m + 1) * spacing
 
 
-def _frequency_cutoff(cf: CfModel, h: float) -> float:
+def _frequency_cutoff(cf: NoiseSpec, h: float) -> float:
     """Smallest u with psi_h(u) <= -42 (integrand below 1e-18), to 1e-3 relative.
 
     Powers of 1.5 bracket the crossing, and bisection narrows the bracket
@@ -162,7 +81,7 @@ def _frequency_cutoff(cf: CfModel, h: float) -> float:
     return hi
 
 
-def invert_density(cf: CfModel, h: float, grid: np.ndarray) -> np.ndarray:
+def invert_density(cf: NoiseSpec, h: float, grid: np.ndarray) -> np.ndarray:
     """Density of h^(-1/beta) J_h on the grid via cosine-transform inversion.
 
     f_h(y) = (1/pi) int_0^inf cos(uy) exp(psi_h(u)) du, computed with
@@ -247,7 +166,7 @@ class RateFit:
 
 
 def rate_fit(
-    cf: CfModel,
+    cf: NoiseSpec,
     kernel: StableKernel,
     h_values,
     grid: np.ndarray | None = None,

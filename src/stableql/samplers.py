@@ -1,9 +1,10 @@
-"""Increment samplers for the driving Levy processes.
+"""Driving Levy processes: one type, ``NoiseSpec``, that samples increments
+and gives the characteristic exponent of the rescaled increment.
 
-Two noise families are supported: the standard symmetric beta-stable law
-(polar/CMS transform, exact) and the symmetric normal-inverse-Gaussian law
-(Gaussian variance mixture with an inverse-Gaussian subordinator drawn by
-the Michael-Schucany-Haas method).
+One table, ``_PARAMETERS``, lists the parameters of each kind; a missing,
+out-of-range or stray parameter is a DomainError naming it.  Only the stable
+kind (exact polar/CMS transform) and the nig kind (Gaussian variance mixture,
+inverse-Gaussian subordinator by Michael-Schucany-Haas) can be sampled.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id, purpose): identical keys reproduce identical sequences
@@ -13,11 +14,15 @@ Monte Carlo replicates can run in parallel without shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma as gamma_fn
+from scipy.special import kve
 
 from .errors import DomainError
+from .stable_core import stable_tail_coefficient
 
 __all__ = ["RngStream", "NoiseSpec", "sample_stable", "sample_nig", "sample_inverse_gaussian"]
 
@@ -36,57 +41,145 @@ class RngStream:
         return RngStream(self.seed, self.stream_id * 1009 + purpose + 1)
 
 
+_POSITIVE = (None, lambda value: value > 0.0, "> 0")
+_INDEX = (None, lambda beta: 0.0 < beta < 2.0, "in (0, 2)")
+_TEMPERED_INDEX = (None, lambda beta: 1.0 <= beta < 2.0, "in [1, 2) for the closed forms")
+# nig and gh_nig are locally Cauchy: beta defaults to 1 and takes no other value.
+_CAUCHY = (1.0, lambda beta: beta == 1.0, "= 1 (locally Cauchy)")
+
+# kind -> {parameter: (default, test, requirement)}; a None default marks a
+# required parameter, and a parameter the kind does not list must be absent.
+_PARAMETERS = {
+    "stable": {"beta": _INDEX},
+    "nig": {"beta": _CAUCHY, "eta": _POSITIVE},
+    "tempered_stable": {"beta": _TEMPERED_INDEX, "lambda_tempering": _POSITIVE},
+    "gh_nig": {"beta": _CAUCHY, "gh_lambda": (None, math.isfinite, "finite"), "gh_eta": _POSITIVE},
+}
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Driving-noise family: kind 'stable' with index beta, or 'nig' with
-    steepness eta (law NIG(eta, 0, t, 0) at time t, variance t/eta)."""
+    """One driving Levy process J, by kind:
+
+    stable           beta: standard symmetric beta-stable, log cf -t|u|^beta
+    nig              eta: symmetric NIG(eta, 0, t, 0) at time t, variance t/eta
+    tempered_stable  beta, lambda_tempering: exponentially tempered beta-stable
+    gh_nig           gh_lambda, gh_eta: symmetric GH(gh_lambda, gh_eta, 1) at
+                     time 1; nig is its gh_lambda = -1/2 member
+    """
 
     kind: str
     beta: float | None = None
     eta: float | None = None
+    lambda_tempering: float | None = None
+    gh_lambda: float | None = None
+    gh_eta: float | None = None
 
     def __post_init__(self):
-        if self.kind == "stable":
-            if self.beta is None or not (0.0 < self.beta < 2.0):
-                raise DomainError(f"stable noise requires beta in (0,2), got {self.beta}")
-        elif self.kind == "nig":
-            if self.eta is None or self.eta <= 0:
-                raise DomainError(f"nig noise requires eta > 0, got {self.eta}")
-        else:
-            raise DomainError(f"unknown noise kind {self.kind!r}")
+        table = _PARAMETERS.get(self.kind)
+        if table is None:
+            raise DomainError(f"unknown driver kind {self.kind!r}; kinds: {sorted(_PARAMETERS)}")
+        for name in ("beta", "eta", "lambda_tempering", "gh_lambda", "gh_eta"):
+            value = getattr(self, name)
+            if name not in table:
+                if value is not None:
+                    raise DomainError(f"{self.kind} driver takes no {name!r}, got {value}")
+                continue
+            default, test, requirement = table[name]
+            if value is None and default is not None:
+                object.__setattr__(self, name, default)
+            elif value is None or not test(value):
+                raise DomainError(f"{self.kind} driver needs {name!r} {requirement}, got {value}")
+
+    def require_sampler(self) -> None:
+        """Raise DomainError unless increments of this kind can be drawn."""
+        if self.kind not in ("stable", "nig"):
+            raise DomainError(f"{self.kind} driver has no sampler; only stable and nig sample")
 
     def sample(self, dt: float, count: int, rng: RngStream) -> np.ndarray:
+        """count increments over steps of length dt.
+
+        A stable draw is dt^(1/beta) times a standard S_beta variate (strict
+        self-similarity); a nig draw is Gaussian with inverse-Gaussian mixing
+        variance IG(dt/eta, dt^2).
+        """
+        self.require_sampler()
+        if dt <= 0 or not np.isfinite(dt):
+            raise DomainError(f"dt must be positive, got {dt}")
+        if count < 0:
+            raise DomainError(f"count must be nonnegative, got {count}")
+        gen = rng.generator()
+        if self.kind == "nig":
+            mixing = _inverse_gaussian(dt / self.eta, dt**2, count, gen)
+            return np.sqrt(mixing) * gen.standard_normal(size=count)
+        beta = self.beta
+        v = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=count)
+        if beta == 1.0:
+            # exact Cauchy branch; avoids the removable singularity of the
+            # general polar transform at beta = 1
+            x = np.tan(v)
+        else:
+            w = gen.standard_exponential(size=count)
+            x = (
+                np.sin(beta * v)
+                / np.cos(v) ** (1.0 / beta)
+                * (np.cos((1.0 - beta) * v) / w) ** ((1.0 - beta) / beta)
+            )
+        return dt ** (1.0 / beta) * x
+
+    def exponent(self, u, h: float) -> np.ndarray:
+        """psi_h(u) = h psi_1(h^(-1/beta) u), the log characteristic function of
+        h^(-1/beta) J_h at u > 0 (psi_1 at unit time); real and nonpositive."""
+        if h <= 0:
+            raise DomainError(f"h must be positive, got {h}")
+        u = np.asarray(u, float)
+        if np.any(u <= 0.0):
+            raise DomainError("exponent is defined for u > 0")
         if self.kind == "stable":
-            return sample_stable(self.beta, dt, count, rng)
-        return sample_nig(self.eta, dt, count, rng)
+            return -(u**self.beta)
+        if self.kind == "tempered_stable":
+            lam = self.lambda_tempering
+            if self.beta == 1.0:
+                return (
+                    lam * h * np.log1p(u**2 / (lam * h) ** 2)
+                    - 2.0 * u * np.arctan(u / (lam * h))
+                ) / np.pi
+            b = self.beta
+            cb = stable_tail_coefficient(b)
+            hp = h ** (1.0 / b)
+            return (
+                2.0
+                * cb
+                * gamma_fn(-b)
+                * (
+                    (lam**2 * hp**2 + u**2) ** (b / 2.0)
+                    * np.cos(b * np.arctan(u / (lam * hp)))
+                    - lam**b * h
+                )
+            )
+        if self.kind == "nig":
+            return h * _gh_unit_exponent(u / h, -0.5, self.eta)
+        return h * _gh_unit_exponent(u / h, self.gh_lambda, self.gh_eta)
+
+
+def _gh_unit_exponent(v: np.ndarray, lam: float, eta: float) -> np.ndarray:
+    """log of the GH(lam, eta, 1) characteristic function at v."""
+    s = np.sqrt(eta**2 + v**2)
+    # log K_lam(x) = log kve(lam, x) - x (kve is the exponentially
+    # scaled Bessel function, stable for large arguments)
+    log_k_s = np.log(kve(lam, s)) - s
+    log_k_eta = math.log(kve(lam, eta)) - eta
+    return 0.5 * lam * (2.0 * math.log(eta) - np.log(eta**2 + v**2)) + log_k_s - log_k_eta
 
 
 def sample_stable(beta: float, dt: float, count: int, rng: RngStream) -> np.ndarray:
-    """Increments over step dt of the standard symmetric beta-stable process.
+    """Increments over step dt of the standard symmetric beta-stable process."""
+    return NoiseSpec("stable", beta=beta).sample(dt, count, rng)
 
-    Each draw has characteristic function exp(-dt |u|^beta), i.e. equals
-    dt^(1/beta) times a standard S_beta variate (strict self-similarity).
-    """
-    if not (0.0 < beta < 2.0):
-        raise DomainError(f"beta must be in (0,2), got {beta}")
-    if dt <= 0 or not np.isfinite(dt):
-        raise DomainError(f"dt must be positive, got {dt}")
-    if count < 0:
-        raise DomainError(f"count must be nonnegative, got {count}")
-    gen = rng.generator()
-    v = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=count)
-    if beta == 1.0:
-        # exact Cauchy branch; avoids the removable singularity of the
-        # general polar transform at beta = 1
-        x = np.tan(v)
-    else:
-        w = gen.standard_exponential(size=count)
-        x = (
-            np.sin(beta * v)
-            / np.cos(v) ** (1.0 / beta)
-            * (np.cos((1.0 - beta) * v) / w) ** ((1.0 - beta) / beta)
-        )
-    return dt ** (1.0 / beta) * x
+
+def sample_nig(eta: float, dt: float, count: int, rng: RngStream) -> np.ndarray:
+    """Increments over step dt of the symmetric NIG process with steepness eta."""
+    return NoiseSpec("nig", eta=eta).sample(dt, count, rng)
 
 
 def sample_inverse_gaussian(mean: float, shape: float, count: int, rng: RngStream) -> np.ndarray:
@@ -107,20 +200,3 @@ def _inverse_gaussian(mean: float, shape: float, count: int, gen: np.random.Gene
     )
     accept = u <= mean / (mean + x)
     return np.where(accept, x, mean**2 / x)
-
-
-def sample_nig(eta: float, dt: float, count: int, rng: RngStream) -> np.ndarray:
-    """Increments over step dt of the symmetric NIG process.
-
-    Law NIG(eta, 0, dt, 0): Gaussian with inverse-Gaussian mixing variance
-    IG(dt/eta, dt^2); symmetric, mean 0, variance dt/eta.
-    """
-    if eta <= 0:
-        raise DomainError(f"eta must be positive, got {eta}")
-    if dt <= 0 or not np.isfinite(dt):
-        raise DomainError(f"dt must be positive, got {dt}")
-    if count < 0:
-        raise DomainError(f"count must be nonnegative, got {count}")
-    gen = rng.generator()
-    mixing = _inverse_gaussian(dt / eta, dt**2, count, gen)
-    return np.sqrt(mixing) * gen.standard_normal(size=count)

@@ -116,6 +116,15 @@ class TestSimulateAndFit:
         lo, hi = report["confidence_intervals"][0]
         assert lo < report["theta_hat"][0] < hi
 
+    def test_stray_driver_parameter(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "simulate", "--noise-kind", "stable", "--eta", "3",
+            "--out", str(tmp_path / "path.csv"),
+        )
+        assert code == 2
+        assert "'eta'" in err
+        assert not (tmp_path / "path.csv").exists()
+
     def test_simulate_reproducible(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out_file in (a, b):
@@ -243,6 +252,19 @@ class TestMc:
         assert "failed" in err
 
 
+    def test_driver_without_sampler(self, capsys, tmp_path):
+        # rejected when the config is read, before any replicate runs
+        cfg = tmp_path / "ts.yaml"
+        cfg.write_text(
+            "preset: nig-1d\n"
+            "noise: {kind: tempered_stable, beta: 1.5, lambda_tempering: 1.0}\n"
+        )
+        code, _, err = run(capsys, "mc", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "tempered_stable" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestLlt:
     def test_default_run(self, capsys, tmp_path):
         cfg = tmp_path / "llt.yaml"
@@ -270,6 +292,28 @@ class TestLlt:
         assert code == 0
         rate = json.loads((tmp_path / "out" / "rate.json").read_text())
         assert rate["slope"] is None
+
+    def test_nig_is_gh_at_lambda_minus_half(self, capsys, tmp_path):
+        drivers = {
+            "nig": ["cf.kind=nig", "cf.eta=5"],
+            "gh": ["cf.kind=gh_nig", "cf.beta=1", "cf.gh_lambda=-0.5", "cf.gh_eta=5"],
+        }
+        for name, sets in drivers.items():
+            argv = ["llt", "--out", str(tmp_path / name), "--set", "h_values=[0.1, 0.03, 0.01, 0.001]"]
+            for item in sets:
+                argv += ["--set", item]
+            assert run(capsys, *argv)[0] == 0
+        nig, gh = tmp_path / "nig", tmp_path / "gh"
+        assert (nig / "l1.csv").read_bytes() == (gh / "l1.csv").read_bytes()
+        rate_nig = json.loads((nig / "rate.json").read_text())
+        rate_gh = json.loads((gh / "rate.json").read_text())
+        assert (rate_nig.pop("kind"), rate_gh.pop("kind")) == ("nig", "gh_nig")
+        assert rate_nig == rate_gh
+
+    def test_missing_beta(self, capsys, tmp_path):
+        code, _, err = run(capsys, "llt", "--out", str(tmp_path / "out"), "--set", "cf.kind=stable")
+        assert code == 2
+        assert "DomainError" in err and "'beta'" in err
 
     def test_unknown_key(self, capsys, tmp_path):
         code, _, err = run(

@@ -17,7 +17,7 @@ from stableql.config import (
     load_config,
     preset_config,
 )
-from stableql.errors import UsageError
+from stableql.errors import DomainError, UsageError
 from stableql.harness import Design, ExperimentConfig
 from stableql.models import ModelSpec
 from stableql.samplers import NoiseSpec
@@ -260,6 +260,40 @@ class TestLltFromConfig:
     def test_unknown_cf_key(self):
         with pytest.raises(UsageError, match="'mu'"):
             llt_from_config({"cf": {"kind": "stable", "beta": 1.5, "mu": 0}})
+
+    def test_nig_driver(self):
+        cf, _, _ = llt_from_config({"cf": {"kind": "nig", "eta": 5}})
+        assert cf == NoiseSpec("nig", beta=1.0, eta=5.0)
+
+
+def _mc(noise: dict) -> dict:
+    return {"preset": "nig-1d", "noise": noise}
+
+
+@pytest.mark.parametrize(
+    "build, cfg, named",
+    [
+        # stray parameters
+        (experiment_from_config, _mc({"kind": "stable", "beta": 1.5, "eta": 5}), "'eta'"),
+        (
+            llt_from_config,
+            {"cf": {"kind": "stable", "beta": 1.5, "gh_eta": 5, "lambda_tempering": 2}},
+            "'lambda_tempering'",
+        ),
+        # a missing parameter: the same error in both sections
+        (experiment_from_config, _mc({"kind": "stable"}), "'beta'"),
+        (llt_from_config, {"cf": {"kind": "stable"}}, "'beta'"),
+        # a driver without a sampler cannot drive a Monte Carlo study
+        (
+            experiment_from_config,
+            _mc({"kind": "tempered_stable", "beta": 1.5, "lambda_tempering": 1.0}),
+            "tempered_stable",
+        ),
+    ],
+)
+def test_driver_errors_name_the_parameter(build, cfg, named):
+    with pytest.raises(DomainError, match=named):
+        build(cfg)
 
 
 _STABLE = {"kind": "stable", "beta": 1.5}

@@ -5,21 +5,22 @@ import math
 import numpy as np
 import pytest
 
+import stableql
 from stableql import llt
 from stableql.errors import DomainError, NumericError, UsageError
 from stableql.llt import (
-    CfModel,
     invert_density,
     l1_distance,
     make_grid,
     rate_fit,
 )
+from stableql.samplers import NoiseSpec
 from stableql.stable_core import PANEL_ORDER, PANEL_WIDTH, StableKernel, _panel_nodes
 
 
 LLT_DRIVERS = [
-    CfModel("tempered_stable", 1.5, lambda_tempering=1.0),
-    CfModel("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0),
+    NoiseSpec("tempered_stable", 1.5, lambda_tempering=1.0),
+    NoiseSpec("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0),
 ]
 
 
@@ -30,14 +31,14 @@ def grid():
 
 class TestCfModel:
     def test_stable_exponent(self):
-        cf = CfModel("stable", 1.5)
+        cf = NoiseSpec("stable", 1.5)
         u = np.linspace(0.1, 5, 20)
         assert np.allclose(cf.exponent(u, 0.123), -(u**1.5))
 
     @pytest.mark.parametrize("beta", [1.0, 1.5])
     def test_tempered_closed_form_matches_generic(self, beta):
         # psi_h(u) = h psi_1(h^{-1/beta} u) for 100 random points
-        cf = CfModel("tempered_stable", beta, lambda_tempering=1.0)
+        cf = NoiseSpec("tempered_stable", beta, lambda_tempering=1.0)
         rng = np.random.default_rng(5)
         us = rng.uniform(0.05, 10.0, 100)
         hs = rng.uniform(0.01, 1.0, 100)
@@ -48,8 +49,8 @@ class TestCfModel:
 
     def test_exponent_real_nonpositive(self):
         for cf in [
-            CfModel("tempered_stable", 1.3, lambda_tempering=2.0),
-            CfModel("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0),
+            NoiseSpec("tempered_stable", 1.3, lambda_tempering=2.0),
+            NoiseSpec("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0),
         ]:
             u = np.linspace(0.05, 30.0, 200)
             vals = cf.exponent(u, 0.2)
@@ -58,36 +59,42 @@ class TestCfModel:
 
     def test_gh_locally_cauchy(self):
         # exp(psi_h(u)) -> exp(-u); |psi_h(1) + 1| decreases monotonically
-        cf = CfModel("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0)
+        cf = NoiseSpec("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0)
         devs = [abs(float(cf.exponent(1.0, h)) + 1.0) for h in (1.0, 0.1, 0.01)]
         assert devs[0] > devs[1] > devs[2]
 
     def test_nig_closed_form(self):
-        # lam = -1/2 collapses to psi_h(u) = eta h - sqrt(eta^2 h^2 + u^2)
+        # lam = -1/2 collapses to psi_h(u) = eta h - sqrt(eta^2 h^2 + u^2),
+        # for gh_nig and for the nig kind alike
         eta = 5.0
-        cf = CfModel("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=eta)
         u = np.linspace(0.1, 20.0, 50)
-        for h in (1.0, 0.05):
-            closed = eta * h - np.sqrt(eta**2 * h**2 + u**2)
-            assert np.allclose(cf.exponent(u, h), closed, atol=1e-10)
+        for cf in (NoiseSpec("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=eta), NoiseSpec("nig", eta=eta)):
+            for h in (1.0, 0.05):
+                closed = eta * h - np.sqrt(eta**2 * h**2 + u**2)
+                assert np.allclose(cf.exponent(u, h), closed, atol=1e-10)
+
+    def test_one_driver_type(self):
+        # the lab's former class name is the driver type itself
+        assert llt.CfModel is NoiseSpec
+        assert stableql.CfModel is NoiseSpec
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            CfModel("stable", 2.5)
+            NoiseSpec("stable", 2.5)
         with pytest.raises(DomainError):
-            CfModel("tempered_stable", 1.5)
+            NoiseSpec("tempered_stable", 1.5)
         with pytest.raises(DomainError):
-            CfModel("tempered_stable", 0.8, lambda_tempering=1.0)
+            NoiseSpec("tempered_stable", 0.8, lambda_tempering=1.0)
         with pytest.raises(DomainError):
-            CfModel("gh_nig", 1.5, gh_lambda=-0.5, gh_eta=5.0)
+            NoiseSpec("gh_nig", 1.5, gh_lambda=-0.5, gh_eta=5.0)
         with pytest.raises(DomainError):
-            CfModel("poisson", 1.0)
+            NoiseSpec("poisson", 1.0)
 
 
 class TestFrequencyCutoff:
     @pytest.mark.parametrize("beta", [1.0, 1.5, 1.8])
     def test_stable_crossing(self, beta):
-        u = llt._frequency_cutoff(CfModel("stable", beta), 0.1)
+        u = llt._frequency_cutoff(NoiseSpec("stable", beta), 0.1)
         assert abs(u / 42.0 ** (1.0 / beta) - 1.0) < 1e-3
 
     @pytest.mark.parametrize("h", [1e-1, 1e-3])
@@ -98,21 +105,21 @@ class TestFrequencyCutoff:
 
     def test_slow_decay_raises(self, monkeypatch):
         # log(1.5^64) = 26: the bracketing never reaches -42
-        monkeypatch.setattr(CfModel, "exponent", lambda self, u, h: -np.log1p(u))
+        monkeypatch.setattr(NoiseSpec, "exponent", lambda self, u, h: -np.log1p(u))
         with pytest.raises(NumericError, match="too slowly"):
-            llt._frequency_cutoff(CfModel("stable", 1.5), 0.1)
+            llt._frequency_cutoff(NoiseSpec("stable", 1.5), 0.1)
 
 
 class TestInvertDensity:
     @pytest.mark.parametrize("beta", [1.0, 1.5])
     def test_stable_recovers_kernel(self, beta, grid):
-        f = invert_density(CfModel("stable", beta), 0.37, grid)
+        f = invert_density(NoiseSpec("stable", beta), 0.37, grid)
         d = l1_distance(grid, f, StableKernel(beta))
         assert d < 1e-8
 
     def test_tempered_cauchy_center_limit(self, grid):
         # f_h(0) -> phi_1(0) = 1/pi as h -> 0
-        cf = CfModel("tempered_stable", 1.0, lambda_tempering=1.0)
+        cf = NoiseSpec("tempered_stable", 1.0, lambda_tempering=1.0)
         center = len(grid) // 2
         vals = [invert_density(cf, h, grid)[center] for h in (0.1, 0.01, 0.001)]
         errors = [abs(v - 1.0 / math.pi) for v in vals]
@@ -120,23 +127,23 @@ class TestInvertDensity:
         assert errors[2] < 2e-3
 
     def test_gh_normalization(self, grid):
-        cf = CfModel("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0)
+        cf = NoiseSpec("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0)
         f = invert_density(cf, 1.0, grid)
         assert abs(np.trapezoid(f, grid) - 1.0) < 1e-6
 
     def test_symmetry_and_nonnegativity(self, grid):
-        cf = CfModel("tempered_stable", 1.5, lambda_tempering=1.0)
+        cf = NoiseSpec("tempered_stable", 1.5, lambda_tempering=1.0)
         f = invert_density(cf, 0.05, grid)
         assert np.allclose(f, f[::-1], atol=1e-8)
         assert np.all(f >= 0.0)
 
     def test_grid_validation(self):
-        cf = CfModel("stable", 1.5)
+        cf = NoiseSpec("stable", 1.5)
         with pytest.raises(UsageError):
             invert_density(cf, 0.1, np.array([0.0, 1.0, 2.0]))
 
     def test_non_uniform_grid_rejected(self):
-        cf = CfModel("stable", 1.5)
+        cf = NoiseSpec("stable", 1.5)
         with pytest.raises(UsageError, match="uniform"):
             invert_density(cf, 0.1, np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
 
@@ -145,7 +152,7 @@ class TestInvertDensity:
         # PANEL_WIDTH panels alias cos(u y) beyond |y| = 60 (0.12 near 228)
         kernel = kernel1 if beta == 1.0 else kernel15
         wide = make_grid(240.0, 1e-2)
-        f = invert_density(CfModel("stable", beta), 0.3, wide)
+        f = invert_density(NoiseSpec("stable", beta), 0.3, wide)
         assert np.abs(f - kernel.density(wide)).max() < 1e-10
 
     @pytest.mark.parametrize("cf", LLT_DRIVERS, ids=lambda cf: cf.kind)
@@ -182,27 +189,27 @@ class TestRateFit:
     H_VALUES = 10.0 ** np.linspace(-1, -3, 6)
 
     def test_tempered_15_slope(self, kernel15):
-        cf = CfModel("tempered_stable", 1.5, lambda_tempering=1.0)
+        cf = NoiseSpec("tempered_stable", 1.5, lambda_tempering=1.0)
         result = rate_fit(cf, kernel15, self.H_VALUES)
         assert 0.55 <= result.slope <= 0.80
 
     def test_nig_slope(self, kernel1):
-        cf = CfModel("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0)
+        cf = NoiseSpec("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0)
         result = rate_fit(cf, kernel1, self.H_VALUES)
         assert 0.80 <= result.slope <= 1.10
 
     def test_stable_all_excluded(self, kernel15):
-        result = rate_fit(CfModel("stable", 1.5), kernel15, self.H_VALUES)
+        result = rate_fit(NoiseSpec("stable", 1.5), kernel15, self.H_VALUES)
         assert math.isnan(result.slope)
         assert len(result.excluded_h) == len(self.H_VALUES)
 
     def test_kernel_beta_must_match(self, kernel1):
-        cf = CfModel("tempered_stable", 1.5, lambda_tempering=1.0)
+        cf = NoiseSpec("tempered_stable", 1.5, lambda_tempering=1.0)
         with pytest.raises(DomainError, match="kernel is for beta=1.0"):
             rate_fit(cf, kernel1, self.H_VALUES)
 
     def test_preconditions(self, kernel15):
-        cf = CfModel("tempered_stable", 1.5, lambda_tempering=1.0)
+        cf = NoiseSpec("tempered_stable", 1.5, lambda_tempering=1.0)
         with pytest.raises(UsageError):
             rate_fit(cf, kernel15, [0.1, 0.05, 0.01])
         with pytest.raises(UsageError):

@@ -118,12 +118,50 @@ class TestNoiseSpec:
         assert np.array_equal(c, d)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="'beta'"):
             NoiseSpec("stable")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="'eta'"):
             NoiseSpec("nig", eta=-1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="'brownian'"):
             NoiseSpec("brownian")
+        # a parameter the kind does not take is named, not dropped
+        with pytest.raises(DomainError, match="'eta'"):
+            NoiseSpec("stable", beta=1.5, eta=5.0)
+        with pytest.raises(DomainError, match="'lambda_tempering'"):
+            NoiseSpec("stable", beta=1.5, gh_eta=5.0, lambda_tempering=2.0)
+        with pytest.raises(DomainError, match="'beta'"):
+            NoiseSpec("nig", eta=5.0, beta=1.7)
+
+    def test_locally_cauchy_kinds_fix_beta(self):
+        assert NoiseSpec("nig", eta=5.0) == NoiseSpec("nig", eta=5.0, beta=1.0)
+        assert NoiseSpec("gh_nig", gh_lambda=-0.5, gh_eta=5.0).beta == 1.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec("tempered_stable", 1.5, lambda_tempering=1.0),
+         NoiseSpec("gh_nig", 1.0, gh_lambda=-0.5, gh_eta=5.0)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_only_stable_and_nig_sample(self, spec):
+        with pytest.raises(DomainError, match=spec.kind):
+            spec.sample(0.1, 10, RngStream(0, 0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec("stable", beta=1.0), NoiseSpec("stable", beta=1.5),
+         NoiseSpec("stable", beta=1.8), NoiseSpec("nig", eta=5.0)],
+        ids=lambda spec: f"{spec.kind}-{spec.beta if spec.kind == 'stable' else spec.eta}",
+    )
+    def test_sampler_matches_exponent(self, spec):
+        # E cos(u X) = exp(psi_h(u)) for X = h^(-1/beta) J_h, within 4.5
+        # standard errors of the 100k-draw mean
+        u = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        for i, h in enumerate([1e-1, 1e-2, 1e-3]):
+            x = spec.sample(h, 100_000, RngStream(13, i)) / h ** (1.0 / spec.beta)
+            c = np.cos(np.outer(u, x))
+            se = c.std(axis=1) / np.sqrt(x.size)
+            z = (c.mean(axis=1) - np.exp(spec.exponent(u, h))) / se
+            assert np.all(np.abs(z) < 4.5), (h, z)
 
 
 class TestRngStream:
