@@ -13,9 +13,9 @@ from .errors import (
 from .config import preset_config
 from .harness import Design, ExperimentConfig, run_experiment
 from .inference import StudentizedReport, confidence_intervals, studentize
-from .llt import CfModel, RateFit, invert_density, l1_distance, rate_fit
+from .llt import RateFit, invert_density, l1_distance, rate_fit
 from .models import MODEL_REGISTRY, ModelSpec, Theta, build_model
-from .samplers import NoiseSpec, RngStream, sample_nig, sample_stable
+from .samplers import NoiseSpec, RngStream
 from .sde import ObservationSeries, simulate_fine, thin
 from .sqlik import (
     FitResult,
@@ -29,7 +29,6 @@ from .sqlik import (
 from .stable_core import InfoConstants, StableKernel, stable_tail_coefficient
 
 __all__ = [
-    "CfModel",
     "Design",
     "DomainError",
     "ExperimentConfig",
@@ -64,8 +63,6 @@ __all__ = [
     "rate_fit",
     "residuals",
     "run_experiment",
-    "sample_nig",
-    "sample_stable",
     "simulate_fine",
     "studentize",
     "thin",

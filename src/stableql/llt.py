@@ -6,7 +6,10 @@ h^(-1/beta) J_h (characteristic function exp(psi_h), psi_h =
 family-specific rate: h^(1/beta) for exponentially tempered beta-stable noise
 and h log(1/h) for generalized hyperbolic (locally Cauchy) noise, NIG
 included.  This module computes f_h by cosine-transform inversion, measures
-the L1 distance to phi_beta, and fits log-log decay slopes.
+the L1 distance to phi_beta, and fits log-log decay slopes.  The inversion
+chooses its quadrature nodes by the same two rules as the StableKernel
+tables (stable_core._frequency_cutoff and _panel_nodes), so on a stable
+driver it reproduces the kernel's density on the kernel's own grid.
 """
 
 from __future__ import annotations
@@ -18,16 +21,14 @@ import numpy as np
 from .errors import DomainError, NumericError, UsageError
 from .samplers import NoiseSpec
 from .stable_core import (
-    PANEL_ORDER,
-    PANEL_WIDTH,
     StableKernel,
+    _frequency_cutoff,
     _panel_nodes,
     _uniform_trig_sums,
     stable_tail_coefficient,
 )
 
 __all__ = [
-    "CfModel",
     "RateFit",
     "make_grid",
     "invert_density",
@@ -43,58 +44,25 @@ CfModel = NoiseSpec
 # -- density inversion and L1 metrics -------------------------------------
 
 
-# Radians of cos(u y_max) that one PANEL_ORDER-point panel integrates; 15/60
-# is PANEL_WIDTH, so the default grid keeps PANEL_WIDTH panels.
-_PANEL_PHASE = 15.0
-
-
 def make_grid(half_width: float = 60.0, spacing: float = 1e-2) -> np.ndarray:
     """Uniform symmetric grid on [-half_width, half_width]."""
     m = int(round(half_width / spacing))
     return np.arange(-m, m + 1) * spacing
 
 
-def _frequency_cutoff(cf: NoiseSpec, h: float) -> float:
-    """Smallest u with psi_h(u) <= -42 (integrand below 1e-18), to 1e-3 relative.
-
-    Powers of 1.5 bracket the crossing, and bisection narrows the bracket
-    below 1e-3 of its upper end, which is returned: psi_h <= -42 holds there.
-    """
-
-    def decayed(u: float) -> bool:
-        return float(cf.exponent(u, h)) <= -42.0
-
-    hi = 1.0
-    for _ in range(64):
-        if decayed(hi):
-            break
-        hi *= 1.5
-    else:
-        raise NumericError("characteristic exponent decays too slowly to invert")
-    lo = hi / 1.5
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if decayed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def invert_density(cf: NoiseSpec, h: float, grid: np.ndarray) -> np.ndarray:
     """Density of h^(-1/beta) J_h on the grid via cosine-transform inversion.
 
     f_h(y) = (1/pi) int_0^inf cos(uy) exp(psi_h(u)) du, computed with
-    composite Gauss-Legendre panels up to _frequency_cutoff, within 1e-3
-    of the first u where the integrand drops below 1e-18.  Tiny negative
+    composite Gauss-Legendre quadrature by the StableKernel tables' own
+    rules: the nodes end within 1e-3 of the first u where exp(psi_h) drops
+    below 1e-18 (stable_core._frequency_cutoff), and the panels narrow on
+    grids wider than |y| = 60 (stable_core._panel_nodes).  Tiny negative
     lobes from quadrature ringing are clipped to zero.
 
     The grid must be uniform and symmetric about 0, y_j = j * step as
     make_grid builds it; otherwise UsageError.  The transform is evaluated
     at all points at once by angle addition (stable_core._uniform_trig_sums).
-    Panels are min(PANEL_WIDTH, _PANEL_PHASE / y_max) wide, so cos(u y) turns
-    through at most _PANEL_PHASE radians in one panel at every grid point:
-    on grids wider than y_max = 60, PANEL_WIDTH panels alias the far grid.
     """
     grid = np.asarray(grid, float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -108,9 +76,8 @@ def invert_density(cf: NoiseSpec, h: float, grid: np.ndarray) -> np.ndarray:
         raise UsageError("grid must be uniform, y_j = j * step")
     step = abs(step)
     y_max = center * step
-    u_max = _frequency_cutoff(cf, h)
-    panel_width = min(PANEL_WIDTH, _PANEL_PHASE / y_max)
-    nodes, weights = _panel_nodes(u_max, panel_width=panel_width, order=PANEL_ORDER)
+    u_max = _frequency_cutoff(lambda u: cf.exponent(u, h))
+    nodes, weights = _panel_nodes(u_max, y_max)
     wphi = weights * np.exp(cf.exponent(nodes, h))
     if not np.all(np.isfinite(wphi)):
         raise NumericError("non-finite characteristic function values")
@@ -120,9 +87,9 @@ def invert_density(cf: NoiseSpec, h: float, grid: np.ndarray) -> np.ndarray:
     return np.concatenate([out_half[:0:-1], out_half])
 
 
-def l1_distance(grid: np.ndarray, f: np.ndarray, kernel: StableKernel) -> float:
-    """Trapezoidal L1 distance between f and the stable density on the grid,
-    plus a tail correction beyond the grid edge.
+def l1_distance(grid: np.ndarray, f: np.ndarray, phi: np.ndarray, beta: float) -> float:
+    """Trapezoidal L1 distance between f and phi, the beta-stable density on
+    the grid, plus a tail correction beyond the grid edge.
 
     Both tails are dominated by the stable power law c_beta/|y|^(1+beta).
     Writing f ~ r phi_beta near the boundary with r = f(y_max)/phi(y_max),
@@ -139,12 +106,11 @@ def l1_distance(grid: np.ndarray, f: np.ndarray, kernel: StableKernel) -> float:
     """
     grid = np.asarray(grid, float)
     f = np.asarray(f, float)
-    if f.shape != grid.shape:
-        raise UsageError(f"density shape {f.shape} does not match grid {grid.shape}")
-    phi = kernel.density(grid)
+    phi = np.asarray(phi, float)
+    if f.shape != grid.shape or phi.shape != grid.shape:
+        raise UsageError(f"density shapes {f.shape}, {phi.shape} do not match grid {grid.shape}")
     core = float(np.trapezoid(np.abs(f - phi), grid))
     y_max = float(grid[-1])
-    beta = kernel.beta
     ratio = float(f[-1]) / float(phi[-1])
     tail = 2.0 * abs(ratio - 1.0) * stable_tail_coefficient(beta) / (beta * y_max**beta)
     return core + tail
@@ -189,7 +155,10 @@ def rate_fit(
         raise UsageError("h values must span at least two decades")
     if grid is None:
         grid = make_grid()
-    l1 = np.array([l1_distance(grid, invert_density(cf, h, grid), kernel) for h in h_values])
+    phi = kernel.density(grid)
+    l1 = np.array(
+        [l1_distance(grid, invert_density(cf, h, grid), phi, kernel.beta) for h in h_values]
+    )
 
     usable = l1 > 1e-8
     excluded = [float(h) for h in h_values[~usable]]

@@ -24,7 +24,7 @@ from scipy.special import kve
 from .errors import DomainError
 from .stable_core import stable_tail_coefficient
 
-__all__ = ["RngStream", "NoiseSpec", "sample_stable", "sample_nig", "sample_inverse_gaussian"]
+__all__ = ["RngStream", "NoiseSpec"]
 
 
 @dataclass(frozen=True)
@@ -172,27 +172,8 @@ def _gh_unit_exponent(v: np.ndarray, lam: float, eta: float) -> np.ndarray:
     return 0.5 * lam * (2.0 * math.log(eta) - np.log(eta**2 + v**2)) + log_k_s - log_k_eta
 
 
-def sample_stable(beta: float, dt: float, count: int, rng: RngStream) -> np.ndarray:
-    """Increments over step dt of the standard symmetric beta-stable process."""
-    return NoiseSpec("stable", beta=beta).sample(dt, count, rng)
-
-
-def sample_nig(eta: float, dt: float, count: int, rng: RngStream) -> np.ndarray:
-    """Increments over step dt of the symmetric NIG process with steepness eta."""
-    return NoiseSpec("nig", eta=eta).sample(dt, count, rng)
-
-
-def sample_inverse_gaussian(mean: float, shape: float, count: int, rng: RngStream) -> np.ndarray:
-    """Inverse-Gaussian draws IG(mean, shape), all strictly positive."""
-    if mean <= 0 or shape <= 0:
-        raise DomainError(f"mean and shape must be positive, got ({mean}, {shape})")
-    if count < 0:
-        raise DomainError(f"count must be nonnegative, got {count}")
-    gen = rng.generator()
-    return _inverse_gaussian(mean, shape, count, gen)
-
-
 def _inverse_gaussian(mean: float, shape: float, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Inverse-Gaussian draws IG(mean, shape), all strictly positive."""
     y = gen.standard_normal(size=count) ** 2
     u = gen.uniform(size=count)
     x = mean + mean**2 * y / (2.0 * shape) - mean / (2.0 * shape) * np.sqrt(

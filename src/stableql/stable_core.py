@@ -17,14 +17,16 @@ StableKernel decides at construction how to evaluate them.  At beta = 1 the
 law is standard Cauchy and all three are closed form.  Otherwise phi, phi'
 and phi'' are computed once by the inversion integral on a uniform grid over
 [-TAIL_CUTOFF, TAIL_CUTOFF] (composite Gauss-Legendre quadrature, summed at
-every grid point by _uniform_trig_sums, which llt's density inversion shares;
-angle addition leaves each node the cosines and sines of about
-4 count^(1/4) angles for count grid points), and log phi, g and dg are
-tabulated from them:
-log phi and g as cubic Hermite splines whose slopes are the exact g and dg,
-dg as a cubic spline.  Beyond the cutoff the asymptotic tail series of phi
-and its derivatives takes over.  phi, phi', phi'' and k derive from log phi,
-g and dg.
+every grid point by _uniform_trig_sums; angle addition leaves each node the
+cosines and sines of about 4 count^(1/4) angles for count grid points), and
+log phi and g are tabulated from them as cubic Hermite splines whose slopes
+are the exact g and dg; dg is the derivative of the g spline.  Beyond the
+cutoff the asymptotic tail series of phi and its derivatives takes over.
+phi, phi', phi'' and k derive from log phi, g and dg.
+
+llt's density inversion shares the quadrature: _frequency_cutoff picks
+where the nodes end and _panel_nodes places them, for the kernel's tables
+and for every driver's characteristic function alike.
 
 The scalar information constants are
 
@@ -57,8 +59,10 @@ _TAIL_TERMS = 10
 # Tabulation grid: step and half-width; the tail series is used beyond it.
 GRID_STEP = 1e-3
 TAIL_CUTOFF = 15.0
-# Composite Gauss-Legendre quadrature of cosine-transform inversions.
+# Composite Gauss-Legendre quadrature of cosine-transform inversions; see
+# _panel_nodes.
 PANEL_WIDTH = 0.25
+PANEL_PHASE = 15.0
 PANEL_ORDER = 12
 # Absolute tolerance of the information-constant quadrature.
 QUAD_TOL = 1e-10
@@ -84,18 +88,52 @@ def _tail_series_coefficients(beta: float, terms: int = _TAIL_TERMS) -> np.ndarr
     )
 
 
-def _panel_nodes(u_max: float, panel_width: float, order: int):
-    """Composite Gauss-Legendre nodes/weights on [0, u_max].
+def _frequency_cutoff(log_integrand) -> float:
+    """Smallest u with log_integrand(u) <= -42 (integrand below 1e-18), to 1e-3 relative.
 
+    log_integrand is the log of the largest integrand column, decreasing
+    beyond the crossing.  Powers of 1.5 bracket the crossing, and bisection
+    narrows the bracket below 1e-3 of its upper end, which is returned:
+    log_integrand <= -42 holds there.
+    """
+
+    def decayed(u: float) -> bool:
+        return float(log_integrand(u)) <= -42.0
+
+    hi = 1.0
+    for _ in range(64):
+        if decayed(hi):
+            break
+        hi *= 1.5
+    else:
+        raise NumericError("integrand decays too slowly to invert")
+    lo = hi / 1.5
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        if decayed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _panel_nodes(u_max: float, y_max: float):
+    """Composite Gauss-Legendre nodes/weights on [0, u_max] for a cosine
+    transform evaluated at |y| <= y_max.
+
+    Panels are min(PANEL_WIDTH, PANEL_PHASE / y_max) wide, so cos(u y) turns
+    through at most PANEL_PHASE radians in one panel at every |y| <= y_max:
+    on grids wider than y_max = 60, PANEL_WIDTH panels alias the far grid.
     The first panel is subdivided geometrically towards 0: integrands of the
     form exp(-u^beta) have unbounded higher derivatives there for non-integer
     beta, which would otherwise cap the accuracy around 1e-8.
     """
+    panel_width = min(PANEL_WIDTH, PANEL_PHASE / y_max)
     n_panels = max(1, int(np.ceil(u_max / panel_width)))
     uniform = np.linspace(0.0, u_max, n_panels + 1)
     graded = uniform[1] * 0.5 ** np.arange(40, 0, -1)
     edges = np.concatenate([[0.0], graded, uniform[1:]])
-    x, w = leggauss(order)
+    x, w = leggauss(PANEL_ORDER)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -217,7 +255,6 @@ class StableKernel:
                 "the Gaussian-limit normalization is incompatible with exp(-|u|^2)"
             )
         self.beta = float(beta)
-        self.tail_cutoff = TAIL_CUTOFF
         self._info_constants: InfoConstants | None = None
         self._tail_coeffs = _tail_series_coefficients(self.beta)
         self._tail_powers = np.arange(1, self._tail_coeffs.size + 1) * self.beta + 1.0
@@ -231,19 +268,14 @@ class StableKernel:
 
     # -- construction ------------------------------------------------------
 
-    def _u_max(self) -> float:
-        """Upper quadrature limit: exp(-u^beta) * (1 + u^2) below ~1e-18."""
-        u = 4.0
-        for _ in range(100):
-            target = (42.0 + 2.0 * np.log1p(u)) ** (1.0 / self.beta)
-            if abs(target - u) < 1e-9:
-                break
-            u = target
-        return u
-
     def _build_tables(self):
-        """phi, phi' and phi'' at the points of _half_grid(), y_j = j * GRID_STEP."""
-        u, w = _panel_nodes(self._u_max(), PANEL_WIDTH, PANEL_ORDER)
+        """phi, phi' and phi'' at the points of _half_grid(), y_j = j * GRID_STEP.
+
+        The nodes end where (1 + u)^2 exp(-u^beta), which bounds the largest
+        weight column u^2 exp(-u^beta), falls below 1e-18.
+        """
+        u_max = _frequency_cutoff(lambda u: 2.0 * math.log1p(u) - u**self.beta)
+        u, w = _panel_nodes(u_max, TAIL_CUTOFF)
         damp = w * np.exp(-(u**self.beta))
         even, odd = _uniform_trig_sums(
             u, GRID_STEP, _half_grid().size,
@@ -252,8 +284,12 @@ class StableKernel:
         return even[:, 0] / np.pi, -odd / np.pi, -even[:, 1] / np.pi
 
     def _splines(self):
-        """Interpolants of log phi, g and dg on [-TAIL_CUTOFF, TAIL_CUTOFF]."""
-        from scipy.interpolate import CubicHermiteSpline, CubicSpline
+        """Interpolants of log phi, g and dg on [-TAIL_CUTOFF, TAIL_CUTOFF].
+
+        The g spline's knot slopes are the exact dg, so its derivative
+        interpolates dg.
+        """
+        from scipy.interpolate import CubicHermiteSpline
 
         half_grid = _half_grid()
         phi, dphi, ddphi = self._build_tables()
@@ -267,11 +303,9 @@ class StableKernel:
         def odd(v):
             return np.concatenate([-v[:0:-1], v])
 
-        return (
-            CubicHermiteSpline(grid, even(np.log(phi)), odd(g)),
-            CubicHermiteSpline(grid, odd(g), even(dg)),
-            CubicSpline(grid, even(dg)),
-        )
+        g_spline = CubicHermiteSpline(grid, odd(g), even(dg))
+        log_phi = CubicHermiteSpline(grid, even(np.log(phi)), odd(g))
+        return log_phi, g_spline, g_spline.derivative()
 
     # -- tail series -------------------------------------------------------
 
@@ -294,7 +328,7 @@ class StableKernel:
 
     def _interpolate(self, spline, part: int, y: np.ndarray) -> np.ndarray:
         """Tabulated spline inside the cutoff, tail series beyond it."""
-        inner = np.clip(y, -self.tail_cutoff, self.tail_cutoff)
+        inner = np.clip(y, -TAIL_CUTOFF, TAIL_CUTOFF)
         out = spline(inner)
         far = inner != y
         if far.any():
@@ -302,8 +336,8 @@ class StableKernel:
         return out
 
     def tail_mass(self) -> float:
-        """Analytic mass of the tail series on (tail_cutoff, inf)."""
-        y0 = self.tail_cutoff
+        """Analytic mass of the tail series on (TAIL_CUTOFF, inf)."""
+        y0 = TAIL_CUTOFF
         ks = np.arange(1, self._tail_coeffs.size + 1)
         return float(np.sum(self._tail_coeffs / (ks * self.beta) * y0 ** (-(ks * self.beta))))
 

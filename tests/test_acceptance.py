@@ -26,7 +26,7 @@ from stableql.cli import main as cli_main
 from stableql.config import preset_config
 from stableql.harness import Design, run_experiment
 from stableql.models import Theta, build_model
-from stableql.samplers import NoiseSpec, RngStream, sample_nig, sample_stable
+from stableql.samplers import NoiseSpec, RngStream
 from stableql.sde import simulate_fine, thin
 from stableql.sqlik import quasi_hessian, quasi_loglik, quasi_score
 from stableql.stable_core import StableKernel
@@ -213,16 +213,16 @@ def test_criterion_3_derivatives_match_finite_differences(announce):
 def test_criterion_4_sampler_suite(announce):
     t0 = time.perf_counter()
     failures = []
-    cauchy = sample_stable(1.0, 1.0, 10_000, RngStream(5, 1))
+    cauchy = NoiseSpec("stable", beta=1.0).sample(1.0, 10_000, RngStream(5, 1))
     ks = stats.kstest(cauchy, stats.cauchy.cdf).statistic
     if ks >= 0.02:
         failures.append(f"Cauchy KS {ks:.4f}")
-    nig = sample_nig(5.0, 1.0, 100_000, RngStream(5, 2))
+    nig = NoiseSpec("nig", eta=5.0).sample(1.0, 100_000, RngStream(5, 2))
     var_rel = abs(np.var(nig) / 0.2 - 1.0)
     if var_rel >= 0.05:
         failures.append(f"NIG variance off by {var_rel:.3f}")
-    small = sample_stable(1.5, 0.3, 10_000, RngStream(5, 3))
-    scaled = 0.3 ** (1 / 1.5) * sample_stable(1.5, 1.0, 10_000, RngStream(5, 4))
+    small = NoiseSpec("stable", beta=1.5).sample(0.3, 10_000, RngStream(5, 3))
+    scaled = 0.3 ** (1 / 1.5) * NoiseSpec("stable", beta=1.5).sample(1.0, 10_000, RngStream(5, 4))
     ks2 = stats.ks_2samp(small, scaled).statistic
     if ks2 >= 0.02:
         failures.append(f"self-similarity KS {ks2:.4f}")

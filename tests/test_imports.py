@@ -57,9 +57,9 @@ def test_import_loads_no_path_specific_module():
 
 def test_cauchy_rate_fit_loads_no_model_compiler_or_spline():
     code = (
-        "from stableql import CfModel, StableKernel, rate_fit\n"
+        "from stableql import NoiseSpec, StableKernel, rate_fit\n"
         "from stableql.llt import make_grid\n"
-        "cf = CfModel('gh_nig', 1.0, gh_lambda=-0.5, gh_eta=5.0)\n"
+        "cf = NoiseSpec('gh_nig', 1.0, gh_lambda=-0.5, gh_eta=5.0)\n"
         "rate_fit(cf, StableKernel(1.0), [1e-1, 1e-2, 1e-3, 1e-4], grid=make_grid(30.0, 0.05))\n"
     )
     heavy = ("sympy", "yaml", "scipy.integrate", "scipy.interpolate")

@@ -15,7 +15,13 @@ from stableql.llt import (
     rate_fit,
 )
 from stableql.samplers import NoiseSpec
-from stableql.stable_core import PANEL_ORDER, PANEL_WIDTH, StableKernel, _panel_nodes
+from stableql.stable_core import (
+    GRID_STEP,
+    TAIL_CUTOFF,
+    StableKernel,
+    _frequency_cutoff,
+    _panel_nodes,
+)
 
 
 LLT_DRIVERS = [
@@ -74,9 +80,10 @@ class TestCfModel:
                 assert np.allclose(cf.exponent(u, h), closed, atol=1e-10)
 
     def test_one_driver_type(self):
-        # the lab's former class name is the driver type itself
+        # the lab's former class name is the driver type itself, and the
+        # package exports the type under one name
         assert llt.CfModel is NoiseSpec
-        assert stableql.CfModel is NoiseSpec
+        assert stableql.NoiseSpec is NoiseSpec and not hasattr(stableql, "CfModel")
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -94,27 +101,37 @@ class TestCfModel:
 class TestFrequencyCutoff:
     @pytest.mark.parametrize("beta", [1.0, 1.5, 1.8])
     def test_stable_crossing(self, beta):
-        u = llt._frequency_cutoff(NoiseSpec("stable", beta), 0.1)
+        cf = NoiseSpec("stable", beta)
+        u = _frequency_cutoff(lambda u: cf.exponent(u, 0.1))
         assert abs(u / 42.0 ** (1.0 / beta) - 1.0) < 1e-3
 
     @pytest.mark.parametrize("h", [1e-1, 1e-3])
     @pytest.mark.parametrize("cf", LLT_DRIVERS, ids=lambda cf: cf.kind)
     def test_tight_crossing(self, cf, h):
-        u = llt._frequency_cutoff(cf, h)
+        u = _frequency_cutoff(lambda u: cf.exponent(u, h))
         assert float(cf.exponent(u, h)) <= -42.0 < float(cf.exponent(u / 1.002, h))
 
-    def test_slow_decay_raises(self, monkeypatch):
+    @pytest.mark.parametrize("beta", [1.1, 1.5, 1.9])
+    def test_kernel_tables_crossing(self, beta):
+        # the kernel tables' largest column, u^2 exp(-u^beta), is bounded by
+        # (1 + u)^2 exp(-u^beta), which ends below 1e-18
+        def log_bound(u):
+            return 2.0 * math.log1p(u) - u**beta
+
+        u = _frequency_cutoff(log_bound)
+        assert log_bound(u) <= -42.0 < log_bound(u / 1.002)
+
+    def test_slow_decay_raises(self):
         # log(1.5^64) = 26: the bracketing never reaches -42
-        monkeypatch.setattr(NoiseSpec, "exponent", lambda self, u, h: -np.log1p(u))
         with pytest.raises(NumericError, match="too slowly"):
-            llt._frequency_cutoff(NoiseSpec("stable", 1.5), 0.1)
+            _frequency_cutoff(lambda u: -np.log1p(u))
 
 
 class TestInvertDensity:
     @pytest.mark.parametrize("beta", [1.0, 1.5])
     def test_stable_recovers_kernel(self, beta, grid):
         f = invert_density(NoiseSpec("stable", beta), 0.37, grid)
-        d = l1_distance(grid, f, StableKernel(beta))
+        d = l1_distance(grid, f, StableKernel(beta).density(grid), beta)
         assert d < 1e-8
 
     def test_tempered_cauchy_center_limit(self, grid):
@@ -147,18 +164,28 @@ class TestInvertDensity:
         with pytest.raises(UsageError, match="uniform"):
             invert_density(cf, 0.1, np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
 
-    @pytest.mark.parametrize("beta", [1.0, 1.5])
-    def test_wide_grid_not_aliased(self, beta, kernel1, kernel15):
+    @pytest.mark.parametrize(
+        "beta, half_width, spacing, tol",
+        [
+            pytest.param(1.0, 240.0, 1e-2, 1e-10, id="1.0"),
+            pytest.param(1.5, 240.0, 1e-2, 1e-10, id="1.5"),
+            # the kernel's own table grid: the lab and the kernel tables
+            # invert exp(-u^beta) by the same quadrature rules
+            pytest.param(1.5, TAIL_CUTOFF, GRID_STEP, 1e-13, id="kernel-grid-1.5"),
+            pytest.param(1.8, TAIL_CUTOFF, GRID_STEP, 1e-13, id="kernel-grid-1.8"),
+        ],
+    )
+    def test_wide_grid_not_aliased(self, beta, half_width, spacing, tol):
         # PANEL_WIDTH panels alias cos(u y) beyond |y| = 60 (0.12 near 228)
-        kernel = kernel1 if beta == 1.0 else kernel15
-        wide = make_grid(240.0, 1e-2)
-        f = invert_density(NoiseSpec("stable", beta), 0.3, wide)
-        assert np.abs(f - kernel.density(wide)).max() < 1e-10
+        kernel = StableKernel(beta)
+        grid = make_grid(half_width, spacing)
+        f = invert_density(NoiseSpec("stable", beta), 0.3, grid)
+        assert np.abs(f - kernel.density(grid)).max() < tol
 
     @pytest.mark.parametrize("cf", LLT_DRIVERS, ids=lambda cf: cf.kind)
     def test_matches_direct_quadrature(self, cf, grid):
         h = 1e-3
-        nodes, weights = _panel_nodes(llt._frequency_cutoff(cf, h), PANEL_WIDTH, PANEL_ORDER)
+        nodes, weights = _panel_nodes(_frequency_cutoff(lambda u: cf.exponent(u, h)), grid[-1])
         wphi = weights * np.exp(cf.exponent(nodes, h))
         idx = np.random.default_rng(8).choice(grid.size, 50, replace=False)
         direct = np.clip(np.cos(np.outer(grid[idx], nodes)) @ wphi / math.pi, 0.0, None)
@@ -167,22 +194,26 @@ class TestInvertDensity:
 
 class TestL1Distance:
     def test_zero_for_kernel_itself(self, grid, kernel15):
-        assert l1_distance(grid, kernel15.density(grid), kernel15) < 1e-12
+        phi = kernel15.density(grid)
+        assert l1_distance(grid, phi, phi, 1.5) < 1e-12
 
     def test_shifted_cauchy_closed_form(self, grid, kernel1):
         # int |phi(y-1) - phi(y)| dy = (4/pi) arctan(1/2) for the Cauchy law
         f = kernel1.density(grid - 1.0)
         exact = 4.0 / math.pi * math.atan(0.5)
-        assert abs(l1_distance(grid, f, kernel1) - exact) < 1e-3
+        assert abs(l1_distance(grid, f, kernel1.density(grid), 1.0) - exact) < 1e-3
 
     def test_nonnegative(self, grid, kernel15):
         rng = np.random.default_rng(3)
         f = np.abs(rng.normal(size=grid.shape))
-        assert l1_distance(grid, f, kernel15) >= 0.0
+        assert l1_distance(grid, f, kernel15.density(grid), 1.5) >= 0.0
 
     def test_grid_mismatch(self, grid, kernel15):
+        phi = kernel15.density(grid)
         with pytest.raises(UsageError):
-            l1_distance(grid, np.zeros(5), kernel15)
+            l1_distance(grid, np.zeros(5), phi, 1.5)
+        with pytest.raises(UsageError):
+            l1_distance(grid, phi, np.zeros(5), 1.5)
 
 
 class TestRateFit:

@@ -5,31 +5,25 @@ import pytest
 from scipy import stats
 
 from stableql.errors import DomainError
-from stableql.samplers import (
-    NoiseSpec,
-    RngStream,
-    sample_inverse_gaussian,
-    sample_nig,
-    sample_stable,
-)
+from stableql.samplers import NoiseSpec, RngStream, _inverse_gaussian
 
 
 class TestStableSampler:
     def test_cauchy_ks(self):
-        x = sample_stable(1.0, 1.0, 10_000, RngStream(1, 0))
+        x = NoiseSpec("stable", beta=1.0).sample(1.0, 10_000, RngStream(1, 0))
         stat = stats.kstest(x, stats.cauchy.cdf).statistic
         assert stat < 0.02
 
     def test_cauchy_iqr(self):
         # standard Cauchy quartiles are at -1 and 1
-        x = sample_stable(1.0, 1.0, 200_000, RngStream(2, 0))
+        x = NoiseSpec("stable", beta=1.0).sample(1.0, 200_000, RngStream(2, 0))
         iqr = np.quantile(x, 0.75) - np.quantile(x, 0.25)
         assert abs(iqr - 2.0) < 0.03
 
     def test_characteristic_function(self):
         # E cos(uX) = exp(-|u|^beta) for the symmetric stable law
         for beta in [1.2, 1.5, 1.8]:
-            x = sample_stable(beta, 1.0, 400_000, RngStream(3, 0))
+            x = NoiseSpec("stable", beta=beta).sample(1.0, 400_000, RngStream(3, 0))
             for u in [0.5, 1.0, 2.0]:
                 emp = np.cos(u * x).mean()
                 assert abs(emp - np.exp(-(u**beta))) < 5e-3
@@ -37,45 +31,45 @@ class TestStableSampler:
     def test_self_similarity(self):
         # dt^(1/beta)-scaled unit draws match dt-step draws in distribution
         beta, dt = 1.5, 0.04
-        a = sample_stable(beta, dt, 20_000, RngStream(4, 0))
-        b = dt ** (1 / beta) * sample_stable(beta, 1.0, 20_000, RngStream(4, 1))
+        a = NoiseSpec("stable", beta=beta).sample(dt, 20_000, RngStream(4, 0))
+        b = dt ** (1 / beta) * NoiseSpec("stable", beta=beta).sample(1.0, 20_000, RngStream(4, 1))
         stat = stats.ks_2samp(a, b).statistic
         assert stat < 0.02
 
     def test_symmetry(self):
-        x = sample_stable(1.5, 1.0, 100_000, RngStream(5, 0))
+        x = NoiseSpec("stable", beta=1.5).sample(1.0, 100_000, RngStream(5, 0))
         assert abs(np.mean(x < 0) - 0.5) < 5e-3
 
     def test_reproducible(self):
-        a = sample_stable(1.5, 0.1, 100, RngStream(6, 7))
-        b = sample_stable(1.5, 0.1, 100, RngStream(6, 7))
+        a = NoiseSpec("stable", beta=1.5).sample(0.1, 100, RngStream(6, 7))
+        b = NoiseSpec("stable", beta=1.5).sample(0.1, 100, RngStream(6, 7))
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_stable(1.5, 0.1, 100, RngStream(6, 7))
-        b = sample_stable(1.5, 0.1, 100, RngStream(6, 8))
+        a = NoiseSpec("stable", beta=1.5).sample(0.1, 100, RngStream(6, 7))
+        b = NoiseSpec("stable", beta=1.5).sample(0.1, 100, RngStream(6, 8))
         assert not np.array_equal(a, b)
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):
-            sample_stable(2.0, 1.0, 10, RngStream(0, 0))
+            NoiseSpec("stable", beta=2.0).sample(1.0, 10, RngStream(0, 0))
         with pytest.raises(DomainError):
-            sample_stable(1.5, -1.0, 10, RngStream(0, 0))
+            NoiseSpec("stable", beta=1.5).sample(-1.0, 10, RngStream(0, 0))
         with pytest.raises(DomainError):
-            sample_stable(1.5, 1.0, -1, RngStream(0, 0))
+            NoiseSpec("stable", beta=1.5).sample(1.0, -1, RngStream(0, 0))
 
 
 class TestInverseGaussian:
     def test_moments(self):
         mean, shape = 0.8, 2.5
-        x = sample_inverse_gaussian(mean, shape, 400_000, RngStream(7, 0))
+        x = _inverse_gaussian(mean, shape, 400_000, RngStream(7, 0).generator())
         assert np.all(x > 0)
         assert abs(x.mean() - mean) < 5e-3
         assert abs(x.var() - mean**3 / shape) < 5e-3
 
     def test_against_scipy(self):
         mean, shape = 1.3, 0.9
-        x = sample_inverse_gaussian(mean, shape, 20_000, RngStream(8, 0))
+        x = _inverse_gaussian(mean, shape, 20_000, RngStream(8, 0).generator())
         stat = stats.kstest(x, stats.invgauss(mean / shape, scale=shape).cdf).statistic
         assert stat < 0.02
 
@@ -83,39 +77,42 @@ class TestInverseGaussian:
 class TestNig:
     def test_variance(self):
         eta, dt = 5.0, 0.7
-        x = sample_nig(eta, dt, 100_000, RngStream(9, 0))
+        x = NoiseSpec("nig", eta=eta).sample(dt, 100_000, RngStream(9, 0))
         assert abs(x.var() / (dt / eta) - 1.0) < 0.05
 
     def test_symmetry_and_mean(self):
-        x = sample_nig(5.0, 1.0, 200_000, RngStream(10, 0))
+        x = NoiseSpec("nig", eta=5.0).sample(1.0, 200_000, RngStream(10, 0))
         assert abs(x.mean()) < 5e-3
         assert abs(np.mean(x < 0) - 0.5) < 5e-3
 
     def test_infinite_divisibility(self):
         # sum of two half-step increments matches one full-step increment
         eta, dt = 3.0, 0.5
-        a = sample_nig(eta, dt / 2, 20_000, RngStream(11, 0))
-        b = sample_nig(eta, dt / 2, 20_000, RngStream(11, 1))
-        c = sample_nig(eta, dt, 20_000, RngStream(11, 2))
+        a = NoiseSpec("nig", eta=eta).sample(dt / 2, 20_000, RngStream(11, 0))
+        b = NoiseSpec("nig", eta=eta).sample(dt / 2, 20_000, RngStream(11, 1))
+        c = NoiseSpec("nig", eta=eta).sample(dt, 20_000, RngStream(11, 2))
         stat = stats.ks_2samp(a + b, c).statistic
         assert stat < 0.02
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):
-            sample_nig(-1.0, 1.0, 10, RngStream(0, 0))
+            NoiseSpec("nig", eta=-1.0).sample(1.0, 10, RngStream(0, 0))
         with pytest.raises(DomainError):
-            sample_nig(5.0, 0.0, 10, RngStream(0, 0))
+            NoiseSpec("nig", eta=5.0).sample(0.0, 10, RngStream(0, 0))
 
 
 class TestNoiseSpec:
     def test_dispatch(self):
+        # each kind draws by its own transform from its stream: stable at
+        # beta = 1 is dt tan(V), nig is Gaussian with IG(dt/eta, dt^2) variance
         rng = RngStream(12, 0)
-        a = NoiseSpec("stable", beta=1.5).sample(0.1, 50, rng)
-        b = sample_stable(1.5, 0.1, 50, rng)
-        assert np.array_equal(a, b)
-        c = NoiseSpec("nig", eta=5.0).sample(0.1, 50, rng)
-        d = sample_nig(5.0, 0.1, 50, rng)
-        assert np.array_equal(c, d)
+        gen = rng.generator()
+        cauchy = 0.1 * np.tan(gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=50))
+        assert np.array_equal(NoiseSpec("stable", beta=1.0).sample(0.1, 50, rng), cauchy)
+        gen = rng.generator()
+        mixing = _inverse_gaussian(0.1 / 5.0, 0.1**2, 50, gen)
+        nig = np.sqrt(mixing) * gen.standard_normal(size=50)
+        assert np.array_equal(NoiseSpec("nig", eta=5.0).sample(0.1, 50, rng), nig)
 
     def test_validation(self):
         with pytest.raises(DomainError, match="'beta'"):

@@ -109,9 +109,9 @@ class TestScores:
 
     @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
     def test_continuous_across_tail_cutoff(self, beta):
-        # the table ends and the tail series starts at +-tail_cutoff
+        # the table ends and the tail series starts at +-TAIL_CUTOFF
         kernel = StableKernel(beta)
-        edge = kernel.tail_cutoff
+        edge = stable_core.TAIL_CUTOFF
         for side in (edge, -edge):
             inner = np.nextafter(side, 0.0)
             outer = np.nextafter(side, 2.0 * side)
@@ -211,9 +211,8 @@ class TestTrigSums:
         assert np.all(np.abs(s - np.sin(arg) @ sin_w) <= 1e-12 * np.abs(sin_w).sum())
 
     def test_build_tables_match_direct_sums(self, kernel15):
-        u, w = stable_core._panel_nodes(
-            kernel15._u_max(), stable_core.PANEL_WIDTH, stable_core.PANEL_ORDER
-        )
+        u_max = stable_core._frequency_cutoff(lambda u: 2.0 * math.log1p(u) - u**1.5)
+        u, w = stable_core._panel_nodes(u_max, stable_core.TAIL_CUTOFF)
         damp = w * np.exp(-(u**1.5))
         half_grid = stable_core._half_grid()
         idx = np.random.default_rng(0).choice(half_grid.size, 200, replace=False)
