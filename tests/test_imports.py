@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, and each path
-imports only what it runs: sympy, PyYAML, scipy.integrate, scipy.interpolate
-and the process pool load at their first use."""
+imports only what it runs: PyYAML, scipy.integrate, scipy.interpolate and the
+process pool load at their first use, and sympy, a test-only dependency, never
+loads."""
 
 import ast
 import os
@@ -77,3 +78,43 @@ def test_constants_command_loads_no_model_compiler_or_yaml():
         "    assert not exit.code, exit.code\n"
     )
     assert _loaded(code, ("sympy", "yaml")) == []
+
+
+# One replicate of a small stable15-1d design, run in one process.
+_SMALL_RUN = (
+    "import tempfile\n"
+    "from dataclasses import replace\n"
+    "from stableql.config import preset_config\n"
+    "from stableql.harness import Design, run_experiment\n"
+    "config = replace(preset_config('stable15-1d'), replicates=1, designs=(Design(1.0, 50, 10),))\n"
+    "with tempfile.TemporaryDirectory() as out:\n"
+    "    run_experiment(config, out, workers=1)\n"
+)
+
+
+def test_model_build_and_mc_run_load_no_sympy():
+    code = "from stableql.models import build_model\nbuild_model('nonlinear-2d')\n"
+    assert _loaded(code, ("sympy",)) == []
+    assert _loaded(_SMALL_RUN, ("sympy",)) == []
+
+
+def test_runs_where_sympy_cannot_be_imported():
+    code = (
+        "import sys\n"
+        "class NoSympy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'sympy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoSympy())\n"
+        "try:\n"
+        "    import sympy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('sympy was not blocked')\n"
+        "from stableql.models import MODEL_REGISTRY, build_model\n"
+        "for name in MODEL_REGISTRY:\n"
+        "    build_model(name)\n"
+        + _SMALL_RUN
+    )
+    assert _loaded(code, ("sympy",)) == []
