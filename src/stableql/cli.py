@@ -85,11 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the stable quasi-MLE to a path CSV")
     p.add_argument("--data", required=True, help="input CSV with columns t,x")
-    p.add_argument("--model", default="nonlinear-1d",
-                   help=f"model name, one of {sorted(MODEL_REGISTRY)}")
-    p.add_argument("--model-config", default=None,
-                   help="YAML mapping with drift/scale/p_alpha/p_gamma/bounds "
-                        "for an expression model (overrides --model)")
+    model = p.add_mutually_exclusive_group()
+    model.add_argument("--model", default="nonlinear-1d",
+                       help=f"model name, one of {sorted(MODEL_REGISTRY)}")
+    model.add_argument("--model-config", default=None,
+                       help="YAML mapping with drift/scale/p_alpha/p_gamma/bounds "
+                            "for an expression model")
     p.add_argument("--beta", type=float, required=True, help="index used by the estimator")
     p.add_argument("--restarts", type=int, default=10, help="multistart count")
     p.add_argument("--level", type=float, default=0.95, help="confidence level")
@@ -162,6 +163,7 @@ def _read_series(path: str) -> ObservationSeries:
 
 
 def _cmd_fit(args) -> int:
+    opt = OptimizerConfig(restarts=args.restarts)
     obs = _read_series(args.data)
     if args.model_config:
         name, kwargs = _model(load_config(args.model_config))
@@ -169,7 +171,6 @@ def _cmd_fit(args) -> int:
     else:
         model = build_model(args.model)
     kernel = StableKernel(args.beta)
-    opt = OptimizerConfig(restarts=args.restarts)
     result = fit_series(obs, model, args.beta, kernel, opt, RngStream(args.seed, 0))
     pivots = studentize(obs, model, result.theta_hat, result.theta_hat, kernel)
     ci = confidence_intervals(pivots, args.level)

@@ -33,7 +33,7 @@ Local-limit config keys:
 
     cf: {kind: stable|nig|tempered_stable|gh_nig, beta, eta,
          lambda_tempering, gh_lambda, gh_eta}, read by samplers.NoiseSpec
-    h_values: explicit list, or h_grid: {start, stop, count} in log10 units
+    h_values: a list, or h_grid: {start, stop, count} in log10 units; not both
     grid: {half_width, spacing}
 
 PyYAML is imported by the first parse of config text, not by this module, so
@@ -284,11 +284,9 @@ def preset_config(name: str) -> ExperimentConfig:
 def llt_from_config(cfg: dict):
     """Returns (NoiseSpec, h_values list, grid array) for the llt subcommand."""
     fields = _section(cfg, "llt config", required=("cf",))
-    if "h_values" in fields:
-        h_values = list(fields["h_values"])
-    elif "h_grid" in fields:
-        h_values = fields["h_grid"]
-    else:
-        h_values = list(10.0 ** np.linspace(-1.0, -3.0, 6))
+    given = [fields[key] for key in ("h_values", "h_grid") if key in fields]
+    if len(given) > 1:
+        raise UsageError("llt config takes h_values or h_grid, not both")
+    h_values = list(given[0] if given else 10.0 ** np.linspace(-1.0, -3.0, 6))
     grid = fields["grid"] if "grid" in fields else make_grid()
     return fields["cf"], h_values, grid

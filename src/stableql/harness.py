@@ -113,15 +113,12 @@ _WORKER_CACHE: dict = {}
 def _cached_context(config: ExperimentConfig):
     """The (model, kernel) pair of a config, built once per process.
 
-    The kernel's information constants are computed here too, so pool
-    workers forked after the first call inherit them, and the imports they
-    need, instead of integrating them again each.
+    Pool workers forked after the first call inherit the pair, the kernel's
+    tables and information constants included.
     """
     key = (config.model_name, config.model_kwargs, config.beta_fit)
     if key not in _WORKER_CACHE:
-        model, kernel = config.build_model(), StableKernel(config.beta_fit)
-        kernel.info_constants()
-        _WORKER_CACHE[key] = (model, kernel)
+        _WORKER_CACHE[key] = (config.build_model(), StableKernel(config.beta_fit))
     return _WORKER_CACHE[key]
 
 

@@ -57,6 +57,9 @@ def _pass(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float):
     """Scale coefficients c_{j-1}, Euler residuals eps_j, j = 1..n, and the
     coefficient derivatives da_{j-1}, dc_{j-1} at theta.
 
+    Raises ModelViolationError, which fit treats as an inadmissible point,
+    where c is not positive and finite or eps is not finite.
+
     The result is remembered on theta, keyed by the identity of obs and model
     and by beta, so a second function evaluated at the same point reuses it.
     """
@@ -66,15 +69,20 @@ def _pass(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float):
     if obs.n < 1:
         raise DomainError("need at least one increment")
     a, c, da, dc = model.coefficients(obs.x[:-1], theta.alpha, theta.gamma)
-    if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
-        bad = int(np.argmax(~((c > 0.0) & np.isfinite(c))))
-        raise ModelViolationError(
-            f"scale coefficient non-positive at observation {bad}: c={float(c[bad])!r}"
-        )
+    _require((c > 0.0) & np.isfinite(c), "scale coefficient non-positive", "c", c)
     eps = (np.diff(obs.x) - obs.h * a) / (obs.h ** (1.0 / beta) * c)
+    _require(np.isfinite(eps), "residual non-finite", "eps", eps)
     result = (c, eps, da, dc)
     object.__setattr__(theta, "_memo", (obs, model, beta, result))
     return result
+
+
+def _require(ok, violation: str, name: str, values) -> None:
+    if not np.all(ok):
+        bad = int(np.argmax(~ok))
+        raise ModelViolationError(
+            f"{violation} at observation {bad}: {name}={float(values[bad])!r}"
+        )
 
 
 def residuals(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float) -> np.ndarray:
@@ -89,7 +97,7 @@ def quasi_loglik(
     beta: float,
     kernel: StableKernel,
 ) -> float:
-    """H(theta); finite for any admissible theta since phi > 0 everywhere."""
+    """H(theta); finite where _pass raises no ModelViolationError, since phi > 0."""
     _check_kernel(beta, kernel)
     c, eps, _, _ = _pass(obs, model, theta, beta)
     return float(
@@ -173,6 +181,10 @@ class OptimizerConfig:
     restarts: int = 10
     init_windows: tuple[tuple[float, float], ...] | None = None
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise DomainError(f"restarts must be >= 1, got {self.restarts}")
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -230,7 +242,7 @@ def fit(
 
     wlo, whi = _start_box(model, opt.init_windows)
     gen = rng.generator(purpose=7)
-    inits = gen.uniform(wlo, whi, size=(max(1, opt.restarts), model.p))
+    inits = gen.uniform(wlo, whi, size=(opt.restarts, model.p))
     dn = np.concatenate(
         [
             np.full(model.p_alpha, np.sqrt(obs.n) * rate_exponent(obs.h, beta)),

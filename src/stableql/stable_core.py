@@ -28,13 +28,11 @@ llt's density inversion shares the quadrature: _frequency_cutoff picks
 where the nodes end and _panel_nodes places them, for the kernel's tables
 and for every driver's characteristic function alike.
 
-The scalar information constants are
+The information constants c_alpha = int g^2 phi dy, c_gamma = int k^2 phi dy
+and the mass int phi dy are computed at construction by _line_quadrature.
 
-    c_alpha = int g^2 phi dy,   c_gamma = int k^2 phi dy.
-
-scipy.interpolate is imported by the first tabulated (beta != 1) kernel and
-scipy.integrate by the first info_constants call, not by this module, so a
-Cauchy kernel and the local-limit lab load neither.
+scipy.interpolate is imported by the first tabulated (beta != 1) kernel, not
+by this module, so a Cauchy kernel and the local-limit lab do not load it.
 """
 
 from __future__ import annotations
@@ -64,8 +62,8 @@ TAIL_CUTOFF = 15.0
 PANEL_WIDTH = 0.25
 PANEL_PHASE = 15.0
 PANEL_ORDER = 12
-# Absolute tolerance of the information-constant quadrature.
-QUAD_TOL = 1e-10
+# Gauss-Legendre nodes of _line_quadrature beyond TAIL_CUTOFF.
+TAIL_NODES = 80
 
 
 def stable_tail_coefficient(beta: float) -> float:
@@ -200,6 +198,25 @@ def _half_grid() -> np.ndarray:
     return np.linspace(0.0, TAIL_CUTOFF, int(round(TAIL_CUTOFF / GRID_STEP)) + 1)
 
 
+def _line_quadrature(beta: float):
+    """Nodes y >= 0 and weights w with int f dy over the line = sum w f(y) for even f.
+
+    2 x (composite Simpson on _half_grid() + TAIL_NODES-point Gauss-Legendre
+    on t in (0, 1] beyond the cutoff, with y = TAIL_CUTOFF * t^(-1/beta),
+    which makes each term a_k y^(-k beta - 1) dy of phi's tail series a
+    multiple of t^(k-1)).
+    """
+    grid = _half_grid()
+    assert grid.size % 2 == 1, "Simpson's rule needs an even number of intervals"
+    simpson = np.where(np.arange(grid.size) % 2, 4.0, 2.0)
+    simpson[[0, -1]] = 1.0
+    x, w = leggauss(TAIL_NODES)
+    t = (x + 1.0) / 2.0
+    tail = TAIL_CUTOFF * t ** (-1.0 / beta)
+    weights = [simpson * (2.0 * GRID_STEP / 3.0), w * tail / (beta * t)]
+    return np.concatenate([grid, tail]), np.concatenate(weights)
+
+
 def _points(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -242,8 +259,9 @@ class InfoConstants:
 class StableKernel:
     """Evaluator for log phi, g and dg and the quantities derived from them.
 
-    Immutable after construction; all evaluation methods are pure, accept
-    scalars or arrays and reject non-finite points with DomainError.
+    Immutable after construction, which computes the information constants;
+    all evaluation methods are pure, accept scalars or arrays and reject
+    non-finite points with DomainError.
     """
 
     def __init__(self, beta: float):
@@ -255,7 +273,6 @@ class StableKernel:
                 "the Gaussian-limit normalization is incompatible with exp(-|u|^2)"
             )
         self.beta = float(beta)
-        self._info_constants: InfoConstants | None = None
         self._tail_coeffs = _tail_series_coefficients(self.beta)
         self._tail_powers = np.arange(1, self._tail_coeffs.size + 1) * self.beta + 1.0
         if self.beta == 1.0:
@@ -265,6 +282,10 @@ class StableKernel:
                 partial(self._interpolate, spline, part)
                 for part, spline in enumerate(self._splines())
             )
+        y, w = _line_quadrature(self.beta)
+        w_phi, g = w * np.exp(self._log_phi(y)), self._g(y)
+        self._mass = float(np.sum(w_phi))
+        self._constants = InfoConstants(float(w_phi @ g**2), float(w_phi @ (1.0 + y * g) ** 2))
 
     # -- construction ------------------------------------------------------
 
@@ -335,12 +356,6 @@ class StableKernel:
             out[far] = self._tail(y[far])[part]
         return out
 
-    def tail_mass(self) -> float:
-        """Analytic mass of the tail series on (TAIL_CUTOFF, inf)."""
-        y0 = TAIL_CUTOFF
-        ks = np.arange(1, self._tail_coeffs.size + 1)
-        return float(np.sum(self._tail_coeffs / (ks * self.beta) * y0 ** (-(ks * self.beta))))
-
     # -- evaluation --------------------------------------------------------
 
     def log_density(self, y):
@@ -374,34 +389,9 @@ class StableKernel:
     # -- information constants --------------------------------------------
 
     def normalization(self) -> float:
-        """int phi over the line: trapezoid over the table grid plus tail masses."""
-        half_grid = _half_grid()
-        return 2.0 * (float(np.trapezoid(self.density(half_grid), half_grid)) + self.tail_mass())
+        """int phi over the line, by _line_quadrature."""
+        return self._mass
 
     def info_constants(self) -> InfoConstants:
-        """C_alpha = int g^2 phi, C_gamma = int k^2 phi, by adaptive quadrature.
-
-        Computed on the first call and returned from then on.
-        """
-        if self._info_constants is not None:
-            return self._info_constants
-        from scipy import integrate
-
-        def ga(y):
-            return self.g(y) ** 2 * self.density(y)
-
-        def ka(y):
-            return self.k(y) ** 2 * self.density(y)
-
-        pieces = []
-        for f in (ga, ka):
-            val, err = integrate.quad(
-                f, 0.0, np.inf, points=None, epsabs=QUAD_TOL, epsrel=1e-10, limit=400
-            )
-            if not np.isfinite(val) or err > 1e-6:
-                raise NumericError(
-                    f"information-constant quadrature did not converge (residual {err:.2e})"
-                )
-            pieces.append(2.0 * val)
-        self._info_constants = InfoConstants(c_alpha=pieces[0], c_gamma=pieces[1])
-        return self._info_constants
+        """C_alpha = int g^2 phi and C_gamma = int k^2 phi, by _line_quadrature."""
+        return self._constants

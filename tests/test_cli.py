@@ -158,6 +158,25 @@ class TestSimulateAndFit:
         assert code == 2
         assert "model violation" in err
 
+    def test_restarts_below_one_rejected(self, capsys, tmp_path):
+        # checked before the data file is read
+        code, _, err = run(
+            capsys, "fit", "--data", str(tmp_path / "gone.csv"), "--beta", "1",
+            "--restarts", "0",
+        )
+        assert code == 2
+        assert "DomainError" in err and "restarts" in err
+
+    def test_model_and_model_config_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fit", "--data", "path.csv", "--beta", "1",
+                "--model", "nonlinear-2d", "--model-config", "model.yaml",
+            ])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--model-config" in err and "not allowed with argument --model" in err
+
     def test_model_config_unknown_key(self, capsys, tmp_path):
         data = tmp_path / "path.csv"
         run(capsys, "simulate", "--n", "50", "--fine-factor", "10",
@@ -321,3 +340,14 @@ class TestLlt:
         )
         assert code == 1
         assert "hvals" in err
+
+    def test_h_values_and_h_grid_together(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "llt", "--out", str(tmp_path / "out"),
+            "--set", "cf.kind=stable", "--set", "cf.beta=1.5",
+            "--set", "h_values=[0.1, 0.01]",
+            "--set", "h_grid={start: -1, stop: -3, count: 4}",
+        )
+        assert code == 1
+        assert "h_values" in err and "h_grid" in err
+        assert not (tmp_path / "out").exists()

@@ -151,6 +151,11 @@ class TestExperimentFromConfig:
         assert config.optimizer.restarts == 5
         assert config.optimizer.init_windows == ((-2.0, 0.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(DomainError, match="restarts"):
+            experiment_from_config({"preset": "nig-1d", "optimizer": {"restarts": restarts}})
+
 
 _NIG_DESIGNS = (Design(1.0, 500, 300), Design(1.0, 1000, 150), Design(1.0, 3000, 50))
 _STABLE_DESIGNS = (
@@ -256,6 +261,16 @@ class TestLltFromConfig:
     def test_missing_cf(self):
         with pytest.raises(UsageError, match="cf"):
             llt_from_config({})
+
+    def test_h_values_and_h_grid_together_rejected(self):
+        with pytest.raises(UsageError, match="h_values or h_grid, not both"):
+            llt_from_config(
+                {
+                    "cf": {"kind": "stable", "beta": 1.2},
+                    "h_values": [0.1, 0.01],
+                    "h_grid": {"start": -1, "stop": -4, "count": 4},
+                }
+            )
 
     def test_unknown_cf_key(self):
         with pytest.raises(UsageError, match="'mu'"):

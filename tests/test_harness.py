@@ -132,18 +132,6 @@ class TestRunExperiment:
         run_experiment(config, tmp_path / "b", workers=1)
         assert builds == []
 
-    def test_information_constants_computed_with_the_context(self, tmp_path, monkeypatch):
-        # pool workers fork from a process whose kernel already holds them
-        config = small_config(replicates=2)
-        harness._cached_context(config)
-
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("information constants integrated in a replicate")
-
-        monkeypatch.setattr("scipy.integrate.quad", no_quadrature)
-        out = run_experiment(config, tmp_path / "constants", workers=1)
-        assert all(r["converged"] == "1" for r in read_rows(out / "replicates.csv"))
-
     def test_one_studentization_per_cell(self, tmp_path, monkeypatch):
         calls = []
         information = inference.empirical_information

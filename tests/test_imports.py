@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, and each path
-imports only what it runs: PyYAML, scipy.integrate, scipy.interpolate and the
-process pool load at their first use, and sympy, a test-only dependency, never
-loads."""
+imports only what it runs: PyYAML, scipy.interpolate and the process pool load
+at their first use, and neither sympy nor scipy.integrate, test-only oracles,
+ever loads."""
 
 import ast
 import os
@@ -77,7 +77,8 @@ def test_constants_command_loads_no_model_compiler_or_yaml():
         "except SystemExit as exit:\n"
         "    assert not exit.code, exit.code\n"
     )
-    assert _loaded(code, ("sympy", "yaml")) == []
+    heavy = ("sympy", "yaml", "scipy.integrate")
+    assert _loaded(code, heavy) == []
 
 
 # One replicate of a small stable15-1d design, run in one process.
@@ -94,8 +95,9 @@ _SMALL_RUN = (
 
 def test_model_build_and_mc_run_load_no_sympy():
     code = "from stableql.models import build_model\nbuild_model('nonlinear-2d')\n"
-    assert _loaded(code, ("sympy",)) == []
-    assert _loaded(_SMALL_RUN, ("sympy",)) == []
+    heavy = ("sympy", "scipy.integrate")
+    assert _loaded(code, heavy) == []
+    assert _loaded(_SMALL_RUN, heavy) == []
 
 
 def test_runs_where_sympy_cannot_be_imported():

@@ -23,6 +23,13 @@ from stableql.sqlik import (
 from stableql.stable_core import StableKernel
 
 
+# drift overflows for a1 * x > 709.8; a scale g1 near 1e-310 overflows eps
+_OVERFLOW_MODEL = build_model(
+    drift="a1*exp(a1*x)", scale="g1", p_alpha=1, p_gamma=1,
+    bounds=[(-1000.0, 1000.0), (1e-320, 10.0)],
+)
+
+
 def perturbed(model, shift):
     return Theta.from_full(model.theta_true.full + shift, model.p_alpha)
 
@@ -65,6 +72,16 @@ class TestResiduals:
         )
         with pytest.raises(ModelViolationError, match="non-positive"):
             residuals(stable_series, model, Theta([-1.0], [-0.5]), 1.5)
+
+    @pytest.mark.parametrize(
+        "alpha, gamma", [(700.0, 1.0), (0.1, 1e-310)], ids=["drift-overflow", "tiny-scale"]
+    )
+    def test_non_finite_residual_is_a_model_violation(self, kernel15, alpha, gamma):
+        obs = ObservationSeries(x=np.linspace(1.5, 2.5, 51), h=0.01)
+        theta = Theta([alpha], [gamma])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelViolationError, match="residual non-finite at observation 0"):
+                quasi_loglik(obs, _OVERFLOW_MODEL, theta, 1.5, kernel15)
 
 
 class TestLoglik:
@@ -256,9 +273,22 @@ class TestFit:
             fit(stable_series, model, 1.0, kernel1, opt=OptimizerConfig(restarts=2),
                 rng=RngStream(3, 0))
 
+    def test_overflowing_drift_everywhere_names_violation(self, kernel15):
+        # every start has a1 * x >= 600 * 1.5, where exp overflows
+        obs = ObservationSeries(x=np.linspace(1.5, 2.5, 51), h=0.01)
+        opt = OptimizerConfig(restarts=3, init_windows=((600.0, 800.0), (0.5, 2.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OptimizationError, match="model violation: residual non-finite"):
+                fit(obs, _OVERFLOW_MODEL, 1.5, kernel15, opt, RngStream(4, 0))
+
     def test_kernel_beta_must_match(self, stable_series, nonlinear_1d, kernel1):
         with pytest.raises(DomainError, match="kernel"):
             fit(stable_series, nonlinear_1d, 1.5, kernel1, OptimizerConfig(restarts=1))
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(DomainError, match="restarts must be >= 1"):
+            OptimizerConfig(restarts=restarts)
 
     @pytest.mark.parametrize(
         "windows,message",

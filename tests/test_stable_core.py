@@ -180,15 +180,53 @@ class TestInfoConstants:
         )
         assert abs(val) < 1e-8
 
-    def test_computed_once_per_kernel(self, monkeypatch):
-        kernel = StableKernel(1.0)
-        first = kernel.info_constants()
+    @pytest.mark.parametrize("beta", [1.0, 1.5])
+    def test_stored_at_construction(self, monkeypatch, beta):
+        kernel = StableKernel(beta)
 
         def no_quadrature(*args, **kwargs):
-            raise AssertionError("information constants integrated again")
+            raise AssertionError("information constants integrated after construction")
 
-        monkeypatch.setattr("scipy.integrate.quad", no_quadrature)
-        assert kernel.info_constants() == first
+        monkeypatch.setattr(stable_core, "_line_quadrature", no_quadrature)
+        first = kernel.info_constants()
+        assert isinstance(first, stable_core.InfoConstants)
+        assert kernel.info_constants() is first
+        assert abs(kernel.normalization() - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("beta", [1.05, 1.2, 1.5, 1.8, 1.95])
+    def test_match_adaptive_quadrature(self, beta):
+        # oracle: g^2 phi and k^2 phi by adaptive quadrature over [0, inf)
+        kernel = StableKernel(beta)
+        oracle = [
+            2.0 * quad(f, 0.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=400)[0]
+            for f in (
+                lambda y: kernel.g(y) ** 2 * kernel.density(y),
+                lambda y: kernel.k(y) ** 2 * kernel.density(y),
+            )
+        ]
+        const = kernel.info_constants()
+        np.testing.assert_allclose([const.c_alpha, const.c_gamma], oracle, rtol=1e-12, atol=0)
+
+    def test_cauchy_within_two_ulp(self, kernel1):
+        const = kernel1.info_constants()
+        two_ulp = 2.0 * np.spacing(0.5)
+        assert abs(const.c_alpha - 0.5) <= two_ulp
+        assert abs(const.c_gamma - 0.5) <= two_ulp
+
+    def test_line_quadrature_is_exact_on_tail_power_series(self):
+        # in t = (y / TAIL_CUTOFF)^(-beta), y^(-k beta - 1) dy is a multiple of
+        # t^(k-1), a polynomial Gauss-Legendre integrates exactly
+        beta = 1.5
+        y, w = stable_core._line_quadrature(beta)
+        tail = y > stable_core.TAIL_CUTOFF
+        assert np.count_nonzero(tail) == stable_core.TAIL_NODES
+        for k in (1, 5, 10):
+            exact = 2.0 * stable_core.TAIL_CUTOFF ** (-k * beta) / (k * beta)
+            approx = w[tail] @ y[tail] ** (-k * beta - 1.0)
+            assert approx == pytest.approx(exact, rel=1e-13)
+        # Simpson is exact for cubics: int y^2 over [-TAIL_CUTOFF, TAIL_CUTOFF]
+        cubic = 2.0 * stable_core.TAIL_CUTOFF**3 / 3.0
+        assert w[~tail] @ y[~tail] ** 2 == pytest.approx(cubic, rel=1e-13)
 
     def test_information_identity(self, kernel15):
         # integration by parts: int g^2 phi = -int dg phi
