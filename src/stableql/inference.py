@@ -22,9 +22,9 @@ coordinatewise without computing them again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericError
 from .models import ModelSpec, Theta
@@ -128,7 +128,7 @@ def confidence_intervals(report: StudentizedReport, level: float = 0.95) -> np.n
     """
     if not 0.0 < level < 1.0:
         raise NumericError(f"confidence level must be in (0,1), got {level}")
-    q = ndtri(0.5 + level / 2.0)
+    q = NormalDist().inv_cdf(0.5 + level / 2.0)
     center = report.theta_hat.full
     sds = []
     for scale in (report.scale_alpha, report.scale_gamma):

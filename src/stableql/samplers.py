@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kve
 
 from .errors import DomainError
 from .stable_core import stable_tail_coefficient
@@ -150,25 +149,30 @@ class NoiseSpec:
             return (
                 2.0
                 * cb
-                * gamma_fn(-b)
+                * math.gamma(-b)
                 * (
                     (lam**2 * hp**2 + u**2) ** (b / 2.0)
                     * np.cos(b * np.arctan(u / (lam * hp)))
                     - lam**b * h
                 )
             )
-        if self.kind == "nig":
-            return h * _gh_unit_exponent(u / h, -0.5, self.eta)
-        return h * _gh_unit_exponent(u / h, self.gh_lambda, self.gh_eta)
+        return h * _gh_unit_exponent(u / h, *self._gh)
+
+    @cached_property
+    def _gh(self) -> tuple[float, float, float]:
+        """(lambda, eta, log K_lambda(eta)) of a nig or gh_nig driver; nig is
+        the lambda = -1/2 member."""
+        lam, eta = (-0.5, self.eta) if self.kind == "nig" else (self.gh_lambda, self.gh_eta)
+        return lam, eta, float(_log_kve(lam, eta)) - eta
 
 
-def _gh_unit_exponent(v: np.ndarray, lam: float, eta: float) -> np.ndarray:
-    """log of the GH(lam, eta, 1) characteristic function at v."""
+def _gh_unit_exponent(v: np.ndarray, lam: float, eta: float, log_k_eta: float) -> np.ndarray:
+    """log of the GH(lam, eta, 1) characteristic function at v, given
+    log_k_eta = log K_lam(eta)."""
     s = np.sqrt(eta**2 + v**2)
-    # log K_lam(x) = log kve(lam, x) - x (kve is the exponentially
-    # scaled Bessel function, stable for large arguments)
-    log_k_s = np.log(kve(lam, s)) - s
-    log_k_eta = math.log(kve(lam, eta)) - eta
+    # log K_lam(s) = _log_kve(lam, s) - s: the exponentially scaled Bessel
+    # function stays finite for large arguments
+    log_k_s = _log_kve(lam, s) - s
     return 0.5 * lam * (2.0 * math.log(eta) - np.log(eta**2 + v**2)) + log_k_s - log_k_eta
 
 
@@ -181,3 +185,62 @@ def _inverse_gaussian(mean: float, shape: float, count: int, gen: np.random.Gene
     )
     accept = u <= mean / (mean + x)
     return np.where(accept, x, mean**2 / x)
+
+
+# Trapezoidal rule for e^x K_nu(x); see _log_kve.
+_KVE_SPAN = 6.5
+_KVE_MAX_STEP = 0.5
+
+
+@cache
+def _kve_rule(span: float, intervals: int):
+    """Nodes u and weights w of the trapezoidal rule on [0, span] for
+    int_0^inf e^(-u^2) f(u) du with f even: w holds the e^(-u^2) factor."""
+    u = np.linspace(0.0, span, intervals + 1)
+    w = np.full(u.size, span / intervals) * np.exp(-u * u)
+    w[0] /= 2.0
+    return u, w
+
+
+def _log_kve(nu: float, x) -> np.ndarray:
+    """log(e^x K_nu(x)), the log of the exponentially scaled modified Bessel
+    function of the second kind, at x > 0.
+
+    Substituting x cosh t = x + u^2 in K_nu(x) = int_0^inf e^(-x cosh t)
+    cosh(nu t) dt (Abramowitz & Stegun 9.6.24) gives, with r = sqrt(2x)
+    and z = u / r,
+
+        e^x K_nu(x) = (2 / r) int_0^inf e^(-u^2) cosh(2 nu asinh z) / sqrt(1 + z^2) du,
+
+    whose integrand is even in u and analytic in the strip |Im u| < r.  The
+    trapezoidal rule converges exponentially there (Trefethen & Weideman,
+    SIAM Review 2014): a step of at most min(0.5, 2 pi r / 45) leaves an
+    error near e^(-45).  Each x gets the largest step that divides [0, span]
+    into a power-of-two count of intervals within its bound, so a handful of
+    cached rules serve every call.  span = 6.5 ends the Gaussian factor below
+    1e-18; for |nu| > 4 the integrand peaks near u = sqrt(|nu|), so the span
+    grows with it and the largest step shrinks in proportion.  The log is
+    accurate to 1e-13 for |nu| <= 50 and x in [1e-2, 1e7].
+    """
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt(2.0 * x.reshape(-1))
+    span = max(_KVE_SPAN, _KVE_SPAN - 2.0 + math.sqrt(abs(nu)))
+    step = np.minimum(_KVE_MAX_STEP * _KVE_SPAN / span, 2.0 * math.pi * r / 45.0)
+    intervals = np.exp2(np.ceil(np.log2(span / step))).astype(int)
+    out = np.log(2.0 / r)
+    for count in np.unique(intervals):
+        rows = intervals == count
+        u, w = _kve_rule(span, int(count))
+        # the integrand without e^(-u^2), in place, from z = u / r at u > 0
+        # (it is 1 at u = 0), with asinh z = log(z + sqrt(1 + z^2))
+        z = np.multiply.outer(1.0 / r[rows], u[1:])
+        root = z * z
+        root += 1.0
+        np.sqrt(root, out=root)
+        z += root
+        np.log(z, out=z)
+        z *= 2.0 * nu
+        np.cosh(z, out=z)
+        z /= root
+        out[rows] += np.log(w[0] + z @ w[1:])
+    return out.reshape(x.shape)

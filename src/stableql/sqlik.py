@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, ModelViolationError, OptimizationError, UsageError
 from .models import ModelSpec, Theta
@@ -68,9 +67,12 @@ def _pass(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float):
         return memo[3]
     if obs.n < 1:
         raise DomainError("need at least one increment")
-    a, c, da, dc = model.coefficients(obs.x[:-1], theta.alpha, theta.gamma)
+    # overflow in the model or the residual surfaces as the
+    # ModelViolationError below, not as a floating-point warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, c, da, dc = model.coefficients(obs.x[:-1], theta.alpha, theta.gamma)
+        eps = (np.diff(obs.x) - obs.h * a) / (obs.h ** (1.0 / beta) * c)
     _require((c > 0.0) & np.isfinite(c), "scale coefficient non-positive", "c", c)
-    eps = (np.diff(obs.x) - obs.h * a) / (obs.h ** (1.0 / beta) * c)
     _require(np.isfinite(eps), "residual non-finite", "eps", eps)
     result = (c, eps, da, dc)
     object.__setattr__(theta, "_memo", (obs, model, beta, result))
@@ -172,6 +174,14 @@ def quasi_hessian(
 ITER_LIMIT = 2000
 
 
+def _minimize():
+    """scipy.optimize.minimize, imported at first use: the fitter is the only
+    user of scipy, whose import costs about half a second."""
+    from scipy.optimize import minimize
+
+    return minimize
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multistart settings for L-BFGS-B on the analytic score: ``restarts``
@@ -264,6 +274,7 @@ def fit(
             violations.append(str(exc))
             return np.inf, np.zeros(model.p)
 
+    minimize = _minimize()
     best = None
     n_evals = 0
     failures = []

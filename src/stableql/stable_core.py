@@ -16,11 +16,12 @@ optimizer run:
 StableKernel decides at construction how to evaluate them.  At beta = 1 the
 law is standard Cauchy and all three are closed form.  Otherwise phi, phi'
 and phi'' are computed once by the inversion integral on a uniform grid over
-[-TAIL_CUTOFF, TAIL_CUTOFF] (composite Gauss-Legendre quadrature, summed at
-every grid point by _uniform_trig_sums; angle addition leaves each node the
-cosines and sines of about 4 count^(1/4) angles for count grid points), and
-log phi and g are tabulated from them as cubic Hermite splines whose slopes
-are the exact g and dg; dg is the derivative of the g spline.  Beyond the
+[0, TAIL_CUTOFF] (composite Gauss-Legendre quadrature, summed at every grid
+point by _uniform_trig_sums; angle addition leaves each node the cosines and
+sines of about 4 count^(1/4) angles for count grid points), and log phi and
+g are tabulated from them as cubic Hermite interpolants whose slopes are the
+exact g and dg; dg is the derivative of the g interpolant.  log phi is even,
+g odd and dg even, so the half grid serves negative y too.  Beyond the
 cutoff the asymptotic tail series of phi and its derivatives takes over.
 phi, phi', phi'' and k derive from log phi, g and dg.
 
@@ -30,9 +31,6 @@ and for every driver's characteristic function alike.
 
 The information constants c_alpha = int g^2 phi dy, c_gamma = int k^2 phi dy
 and the mass int phi dy are computed at construction by _line_quadrature.
-
-scipy.interpolate is imported by the first tabulated (beta != 1) kernel, not
-by this module, so a Cauchy kernel and the local-limit lab do not load it.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, NumericError
 
@@ -79,8 +76,7 @@ def _tail_series_coefficients(beta: float, terms: int = _TAIL_TERMS) -> np.ndarr
     ks = np.arange(1, terms + 1)
     return (
         (-1.0) ** (ks + 1)
-        * gamma_fn(ks * beta + 1.0)
-        / gamma_fn(ks + 1.0)
+        * np.array([math.gamma(k * beta + 1.0) / math.gamma(k + 1.0) for k in ks])
         * np.sin(ks * beta * np.pi / 2.0)
         / np.pi
     )
@@ -90,29 +86,21 @@ def _frequency_cutoff(log_integrand) -> float:
     """Smallest u with log_integrand(u) <= -42 (integrand below 1e-18), to 1e-3 relative.
 
     log_integrand is the log of the largest integrand column, decreasing
-    beyond the crossing.  Powers of 1.5 bracket the crossing, and bisection
-    narrows the bracket below 1e-3 of its upper end, which is returned:
-    log_integrand <= -42 holds there.
+    beyond the crossing, and takes an array of u.  One call at the powers of
+    1.5 up to 1.5^63 brackets the crossing; a second on a geometric grid of
+    ratio at most 1.001 inside the bracket finds the first grid point where
+    log_integrand <= -42, which is returned.
     """
-
-    def decayed(u: float) -> bool:
-        return float(log_integrand(u)) <= -42.0
-
-    hi = 1.0
-    for _ in range(64):
-        if decayed(hi):
-            break
-        hi *= 1.5
-    else:
+    powers = 1.5 ** np.arange(64)
+    decayed = np.asarray(log_integrand(powers)) <= -42.0
+    if not decayed.any():
         raise NumericError("integrand decays too slowly to invert")
-    lo = hi / 1.5
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if decayed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    hi = powers[np.argmax(decayed)]
+    count = math.ceil(math.log(1.5) / math.log(1.001))
+    grid = np.append(hi * 1.5 ** (np.arange(1 - count, 0) / count), hi)
+    # hi is known to have decayed; it is not evaluated again
+    decayed = np.append(np.asarray(log_integrand(grid[:-1])) <= -42.0, True)
+    return float(grid[np.argmax(decayed)])
 
 
 def _panel_nodes(u_max: float, y_max: float):
@@ -198,6 +186,17 @@ def _half_grid() -> np.ndarray:
     return np.linspace(0.0, TAIL_CUTOFF, int(round(TAIL_CUTOFF / GRID_STEP)) + 1)
 
 
+def _hermite(values, slopes) -> np.ndarray:
+    """Cubic Hermite interpolant of values and slopes at the points of _half_grid().
+
+    Row i holds its coefficients, lowest power first, in t = y / GRID_STEP - i
+    on the interval [y_i, y_(i+1)].
+    """
+    d = np.diff(values)
+    s0, s1 = GRID_STEP * slopes[:-1], GRID_STEP * slopes[1:]
+    return np.stack([values[:-1], s0, 3.0 * d - 2.0 * s0 - s1, s0 + s1 - 2.0 * d], axis=1)
+
+
 def _line_quadrature(beta: float):
     """Nodes y >= 0 and weights w with int f dy over the line = sum w f(y) for even f.
 
@@ -279,8 +278,8 @@ class StableKernel:
             self._log_phi, self._g, self._dg = _cauchy_log_phi, _cauchy_g, _cauchy_dg
         else:
             self._log_phi, self._g, self._dg = (
-                partial(self._interpolate, spline, part)
-                for part, spline in enumerate(self._splines())
+                partial(self._interpolate, table, part)
+                for part, table in enumerate(self._hermite_tables())
             )
         y, w = _line_quadrature(self.beta)
         w_phi, g = w * np.exp(self._log_phi(y)), self._g(y)
@@ -295,7 +294,7 @@ class StableKernel:
         The nodes end where (1 + u)^2 exp(-u^beta), which bounds the largest
         weight column u^2 exp(-u^beta), falls below 1e-18.
         """
-        u_max = _frequency_cutoff(lambda u: 2.0 * math.log1p(u) - u**self.beta)
+        u_max = _frequency_cutoff(lambda u: 2.0 * np.log1p(u) - u**self.beta)
         u, w = _panel_nodes(u_max, TAIL_CUTOFF)
         damp = w * np.exp(-(u**self.beta))
         even, odd = _uniform_trig_sums(
@@ -304,29 +303,17 @@ class StableKernel:
         )
         return even[:, 0] / np.pi, -odd / np.pi, -even[:, 1] / np.pi
 
-    def _splines(self):
-        """Interpolants of log phi, g and dg on [-TAIL_CUTOFF, TAIL_CUTOFF].
+    def _hermite_tables(self):
+        """Polynomial tables of log phi, g and dg on the intervals of _half_grid().
 
-        The g spline's knot slopes are the exact dg, so its derivative
-        interpolates dg.
+        log phi and g are cubic Hermite interpolants whose knot slopes are the
+        exact g and dg; the dg table is the derivative of the g table.
         """
-        from scipy.interpolate import CubicHermiteSpline
-
-        half_grid = _half_grid()
         phi, dphi, ddphi = self._build_tables()
         g = dphi / phi
         dg = ddphi / phi - g * g
-        grid = np.concatenate([-half_grid[:0:-1], half_grid])
-
-        def even(v):
-            return np.concatenate([v[:0:-1], v])
-
-        def odd(v):
-            return np.concatenate([-v[:0:-1], v])
-
-        g_spline = CubicHermiteSpline(grid, odd(g), even(dg))
-        log_phi = CubicHermiteSpline(grid, even(np.log(phi)), odd(g))
-        return log_phi, g_spline, g_spline.derivative()
+        g_table = _hermite(g, dg)
+        return _hermite(np.log(phi), g), g_table, g_table[:, 1:] * (np.arange(1, 4) / GRID_STEP)
 
     # -- tail series -------------------------------------------------------
 
@@ -347,14 +334,28 @@ class StableKernel:
         g = -inv * s1 / s0
         return np.log(s0) - powers[0] * np.log(ay), g, inv * inv * s2 / s0 - g * g
 
-    def _interpolate(self, spline, part: int, y: np.ndarray) -> np.ndarray:
-        """Tabulated spline inside the cutoff, tail series beyond it."""
-        inner = np.clip(y, -TAIL_CUTOFF, TAIL_CUTOFF)
-        out = spline(inner)
-        far = inner != y
+    def _interpolate(self, table, part: int, y: np.ndarray) -> np.ndarray:
+        """Tabulated polynomial inside the cutoff, tail series beyond it.
+
+        |y| lies in interval int(|y| / GRID_STEP) of the half grid; log phi
+        and dg are even and g (part 1) is odd, so the sign of y restores the
+        left half.
+        """
+        flat = y.reshape(-1)
+        ay = np.abs(flat)
+        pos = np.minimum(ay, TAIL_CUTOFF) / GRID_STEP
+        row = np.minimum(pos.astype(np.intp), len(table) - 1)
+        t = pos - row
+        coeffs = table[row]
+        out = coeffs[:, -1]
+        for power in range(table.shape[1] - 2, -1, -1):
+            out = out * t + coeffs[:, power]
+        if part == 1:
+            out *= np.sign(flat)
+        far = ay > TAIL_CUTOFF
         if far.any():
-            out[far] = self._tail(y[far])[part]
-        return out
+            out[far] = self._tail(flat[far])[part]
+        return out.reshape(y.shape)
 
     # -- evaluation --------------------------------------------------------
 

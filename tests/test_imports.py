@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, and each path
-imports only what it runs: PyYAML, scipy.interpolate and the process pool load
-at their first use, and neither sympy nor scipy.integrate, test-only oracles,
-ever loads."""
+imports only what it runs: PyYAML, the process pool and scipy, which only the
+fitter uses, load at their first use, and sympy, a test-only oracle, never
+loads."""
 
 import ast
 import os
@@ -52,7 +52,7 @@ def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
 
 
 def test_import_loads_no_path_specific_module():
-    heavy = ("sympy", "yaml", "scipy.integrate", "scipy.interpolate", "concurrent.futures.process")
+    heavy = ("sympy", "yaml", "scipy", "concurrent.futures.process")
     assert _loaded("import stableql", heavy) == []
 
 
@@ -63,8 +63,21 @@ def test_cauchy_rate_fit_loads_no_model_compiler_or_spline():
         "cf = NoiseSpec('gh_nig', 1.0, gh_lambda=-0.5, gh_eta=5.0)\n"
         "rate_fit(cf, StableKernel(1.0), [1e-1, 1e-2, 1e-3, 1e-4], grid=make_grid(30.0, 0.05))\n"
     )
-    heavy = ("sympy", "yaml", "scipy.integrate", "scipy.interpolate")
+    heavy = ("sympy", "yaml", "scipy")
     assert _loaded(code, heavy) == []
+
+
+def test_tabulated_rate_fit_and_simulation_load_no_scipy():
+    code = (
+        "from stableql import NoiseSpec, RngStream, StableKernel, build_model, rate_fit\n"
+        "from stableql import simulate_fine\n"
+        "from stableql.llt import make_grid\n"
+        "cf = NoiseSpec('tempered_stable', 1.5, lambda_tempering=1.0)\n"
+        "rate_fit(cf, StableKernel(1.5), [1e-1, 1e-2, 1e-3, 1e-4], grid=make_grid(30.0, 0.05))\n"
+        "simulate_fine(build_model('nonlinear-1d'), NoiseSpec('stable', 1.5), 1.0, 100, 0.0,\n"
+        "              RngStream(1))\n"
+    )
+    assert _loaded(code, ("scipy",)) == []
 
 
 def test_constants_command_loads_no_model_compiler_or_yaml():
@@ -77,8 +90,20 @@ def test_constants_command_loads_no_model_compiler_or_yaml():
         "except SystemExit as exit:\n"
         "    assert not exit.code, exit.code\n"
     )
-    heavy = ("sympy", "yaml", "scipy.integrate")
+    heavy = ("sympy", "yaml", "scipy")
     assert _loaded(code, heavy) == []
+
+
+def test_mc_context_loads_the_optimizer_for_pool_workers():
+    # workers forked after _cached_context inherit scipy.optimize, so no job
+    # pays for its import
+    imports = (
+        "from stableql.config import preset_config\n"
+        "from stableql.harness import _cached_context\n"
+    )
+    assert _loaded(imports, ("scipy.optimize",)) == []
+    code = imports + "_cached_context(preset_config('nig-1d'))\n"
+    assert _loaded(code, ("scipy.optimize",)) == ["scipy.optimize"]
 
 
 # One replicate of a small stable15-1d design, run in one process.

@@ -126,6 +126,17 @@ class TestConfidenceIntervals:
         assert np.allclose(ci[:, 0], th.full - half, rtol=1e-14, atol=0)
         assert np.allclose(ci[:, 1], th.full + half, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_quantile_matches_scipy(self, level):
+        # the standard library's quantile is 3, 2 and 1 ulp from scipy's
+        # correctly rounded ndtri at these levels
+        from statistics import NormalDist
+
+        from scipy.special import ndtri
+
+        expected = ndtri(0.5 + level / 2.0)
+        assert abs(NormalDist().inv_cdf(0.5 + level / 2.0) - expected) <= 4 * np.spacing(expected)
+
     def test_invalid_level(self, stable_series, nonlinear_1d, kernel15):
         theta = nonlinear_1d.theta_true
         rep = studentize(stable_series, nonlinear_1d, theta, theta, kernel15)
@@ -155,7 +166,8 @@ class TestPivotDistribution:
 
 
 def test_import_does_not_load_scipy_stats():
-    """The normal quantile comes from scipy.special; scipy.stats is slow to import."""
+    """The normal quantile comes from the standard library's statistics module;
+    scipy.stats is slow to import."""
     src = str(Path(stableql.__file__).resolve().parents[1])
     code = "import sys, stableql; print('scipy.stats' in sys.modules)"
     out = subprocess.run(

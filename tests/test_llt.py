@@ -116,10 +116,20 @@ class TestFrequencyCutoff:
         # the kernel tables' largest column, u^2 exp(-u^beta), is bounded by
         # (1 + u)^2 exp(-u^beta), which ends below 1e-18
         def log_bound(u):
-            return 2.0 * math.log1p(u) - u**beta
+            return 2.0 * np.log1p(u) - u**beta
 
         u = _frequency_cutoff(log_bound)
         assert log_bound(u) <= -42.0 < log_bound(u / 1.002)
+
+    def test_two_vector_calls(self):
+        calls = []
+
+        def log_bound(u):
+            calls.append(u)
+            return 2.0 * np.log1p(u) - u**1.5
+
+        _frequency_cutoff(log_bound)
+        assert len(calls) <= 2
 
     def test_slow_decay_raises(self):
         # log(1.5^64) = 26: the bracketing never reaches -42

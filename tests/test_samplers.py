@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from stableql.errors import DomainError
-from stableql.samplers import NoiseSpec, RngStream, _inverse_gaussian
+from stableql.samplers import NoiseSpec, RngStream, _inverse_gaussian, _log_kve
 
 
 class TestStableSampler:
@@ -171,3 +171,17 @@ class TestRngStream:
     def test_substream_deterministic(self):
         assert RngStream(1, 2).substream(3) == RngStream(1, 2).substream(3)
         assert RngStream(1, 2).substream(3) != RngStream(1, 2).substream(4)
+
+
+class TestBesselK:
+    @pytest.mark.parametrize("nu", [-2.5, -1.3, -0.5, 0.0, 0.5, 1.0, 3.7, 10.0, 12.0, 20.0, -50.0])
+    def test_matches_scipy_kve(self, nu):
+        from scipy.special import kve
+
+        x = np.geomspace(1e-2, 1e7, 20001)
+        np.testing.assert_allclose(_log_kve(nu, x), np.log(kve(nu, x)), rtol=0, atol=1e-13)
+
+    def test_keeps_shape(self):
+        x = np.array([[0.5, 2.0], [30.0, 4e5]])
+        assert _log_kve(1.0, x).shape == (2, 2)
+        assert _log_kve(1.0, 3.0).shape == ()

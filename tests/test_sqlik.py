@@ -1,6 +1,7 @@
 """Quasi-likelihood objective, analytic derivatives, and the fitter."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -77,9 +78,11 @@ class TestResiduals:
         "alpha, gamma", [(700.0, 1.0), (0.1, 1e-310)], ids=["drift-overflow", "tiny-scale"]
     )
     def test_non_finite_residual_is_a_model_violation(self, kernel15, alpha, gamma):
+        # the violation is the only signal: no floating-point warning first
         obs = ObservationSeries(x=np.linspace(1.5, 2.5, 51), h=0.01)
         theta = Theta([alpha], [gamma])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ModelViolationError, match="residual non-finite at observation 0"):
                 quasi_loglik(obs, _OVERFLOW_MODEL, theta, 1.5, kernel15)
 
@@ -277,9 +280,8 @@ class TestFit:
         # every start has a1 * x >= 600 * 1.5, where exp overflows
         obs = ObservationSeries(x=np.linspace(1.5, 2.5, 51), h=0.01)
         opt = OptimizerConfig(restarts=3, init_windows=((600.0, 800.0), (0.5, 2.0)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OptimizationError, match="model violation: residual non-finite"):
-                fit(obs, _OVERFLOW_MODEL, 1.5, kernel15, opt, RngStream(4, 0))
+        with pytest.raises(OptimizationError, match="model violation: residual non-finite"):
+            fit(obs, _OVERFLOW_MODEL, 1.5, kernel15, opt, RngStream(4, 0))
 
     def test_kernel_beta_must_match(self, stable_series, nonlinear_1d, kernel1):
         with pytest.raises(DomainError, match="kernel"):

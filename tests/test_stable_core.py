@@ -161,6 +161,32 @@ class TestScores:
             kernel1.g(y), hypot_form, rtol=0, atol=2 * np.finfo(float).eps
         )
 
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+    def test_tables_match_scipy_hermite_splines(self, beta):
+        # oracle: scipy's cubic Hermite splines on the mirrored grid, from the
+        # same tables; the gaps measured at these points are 3.6e-15, 4.4e-16
+        # and 2.7e-13 for log phi, g and dg
+        from scipy.interpolate import CubicHermiteSpline
+
+        kernel = StableKernel(beta)
+        phi, dphi, ddphi = kernel._build_tables()
+        g = dphi / phi
+        dg = ddphi / phi - g * g
+
+        def even(v):
+            return np.concatenate([v[:0:-1], v])
+
+        def odd(v):
+            return np.concatenate([-v[:0:-1], v])
+
+        grid = odd(stable_core._half_grid())
+        g_spline = CubicHermiteSpline(grid, odd(g), even(dg))
+        log_phi = CubicHermiteSpline(grid, even(np.log(phi)), odd(g))
+        y = np.concatenate([grid, np.random.default_rng(0).uniform(-15.0, 15.0, 100_000)])
+        assert np.abs(kernel.log_density(y) - log_phi(y)).max() < 1e-14
+        assert np.abs(kernel.g(y) - g_spline(y)).max() < 2e-15
+        assert np.abs(kernel.dg(y) - g_spline.derivative()(y)).max() < 1e-12
+
 
 class TestInfoConstants:
     def test_beta_one_exact(self, kernel1):
@@ -249,7 +275,7 @@ class TestTrigSums:
         assert np.all(np.abs(s - np.sin(arg) @ sin_w) <= 1e-12 * np.abs(sin_w).sum())
 
     def test_build_tables_match_direct_sums(self, kernel15):
-        u_max = stable_core._frequency_cutoff(lambda u: 2.0 * math.log1p(u) - u**1.5)
+        u_max = stable_core._frequency_cutoff(lambda u: 2.0 * np.log1p(u) - u**1.5)
         u, w = stable_core._panel_nodes(u_max, stable_core.TAIL_CUTOFF)
         damp = w * np.exp(-(u**1.5))
         half_grid = stable_core._half_grid()
