@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class NoiseSpec:
     tempered_stable  beta, lambda_tempering: exponentially tempered beta-stable
     gh_nig           gh_lambda, gh_eta: symmetric GH(gh_lambda, gh_eta, 1) at
                      time 1; nig is its gh_lambda = -1/2 member
+
+    The exponent of nig and gh_nig needs eta (gh_eta) >= 0.01, the smallest
+    argument of its Bessel function; sampling nig takes any eta > 0.
     """
 
     kind: str
@@ -162,7 +165,12 @@ class NoiseSpec:
     def _gh(self) -> tuple[float, float, float]:
         """(lambda, eta, log K_lambda(eta)) of a nig or gh_nig driver; nig is
         the lambda = -1/2 member."""
+        name = "eta" if self.kind == "nig" else "gh_eta"
         lam, eta = (-0.5, self.eta) if self.kind == "nig" else (self.gh_lambda, self.gh_eta)
+        if eta < _KVE_MIN_X:
+            raise DomainError(
+                f"{self.kind} characteristic exponent needs {name!r} >= {_KVE_MIN_X:g}, got {eta}"
+            )
         return lam, eta, float(_log_kve(lam, eta)) - eta
 
 
@@ -190,9 +198,12 @@ def _inverse_gaussian(mean: float, shape: float, count: int, gen: np.random.Gene
 # Trapezoidal rule for e^x K_nu(x); see _log_kve.
 _KVE_SPAN = 6.5
 _KVE_MAX_STEP = 0.5
+# Smallest argument of _log_kve, and so the smallest eta of a nig or gh_nig
+# exponent: the rule's node count grows as x^(-1/2), to 512 at this x.
+_KVE_MIN_X = 1e-2
 
 
-@cache
+@lru_cache(maxsize=16)
 def _kve_rule(span: float, intervals: int):
     """Nodes u and weights w of the trapezoidal rule on [0, span] for
     int_0^inf e^(-u^2) f(u) du with f even: w holds the e^(-u^2) factor."""
@@ -204,7 +215,7 @@ def _kve_rule(span: float, intervals: int):
 
 def _log_kve(nu: float, x) -> np.ndarray:
     """log(e^x K_nu(x)), the log of the exponentially scaled modified Bessel
-    function of the second kind, at x > 0.
+    function of the second kind, at x >= _KVE_MIN_X.
 
     Substituting x cosh t = x + u^2 in K_nu(x) = int_0^inf e^(-x cosh t)
     cosh(nu t) dt (Abramowitz & Stegun 9.6.24) gives, with r = sqrt(2x)
@@ -215,32 +226,28 @@ def _log_kve(nu: float, x) -> np.ndarray:
     whose integrand is even in u and analytic in the strip |Im u| < r.  The
     trapezoidal rule converges exponentially there (Trefethen & Weideman,
     SIAM Review 2014): a step of at most min(0.5, 2 pi r / 45) leaves an
-    error near e^(-45).  Each x gets the largest step that divides [0, span]
-    into a power-of-two count of intervals within its bound, so a handful of
-    cached rules serve every call.  span = 6.5 ends the Gaussian factor below
-    1e-18; for |nu| > 4 the integrand peaks near u = sqrt(|nu|), so the span
-    grows with it and the largest step shrinks in proportion.  The log is
-    accurate to 1e-13 for |nu| <= 50 and x in [1e-2, 1e7].
+    error near e^(-45).  One rule serves the whole call, its step bounded by
+    the smallest r and rounded down to split [0, span] into a power-of-two
+    count of intervals, so that few rules are ever cached.  span = 6.5 ends
+    the Gaussian factor below 1e-18; for |nu| > 4 the integrand peaks near
+    u = sqrt(|nu|), so the span grows with it and the largest step shrinks in
+    proportion.  The log is accurate to 1e-13 for |nu| <= 50 and x in
+    [_KVE_MIN_X, 1e7].
     """
     x = np.asarray(x, dtype=float)
     r = np.sqrt(2.0 * x.reshape(-1))
     span = max(_KVE_SPAN, _KVE_SPAN - 2.0 + math.sqrt(abs(nu)))
-    step = np.minimum(_KVE_MAX_STEP * _KVE_SPAN / span, 2.0 * math.pi * r / 45.0)
-    intervals = np.exp2(np.ceil(np.log2(span / step))).astype(int)
-    out = np.log(2.0 / r)
-    for count in np.unique(intervals):
-        rows = intervals == count
-        u, w = _kve_rule(span, int(count))
-        # the integrand without e^(-u^2), in place, from z = u / r at u > 0
-        # (it is 1 at u = 0), with asinh z = log(z + sqrt(1 + z^2))
-        z = np.multiply.outer(1.0 / r[rows], u[1:])
-        root = z * z
-        root += 1.0
-        np.sqrt(root, out=root)
-        z += root
-        np.log(z, out=z)
-        z *= 2.0 * nu
-        np.cosh(z, out=z)
-        z /= root
-        out[rows] += np.log(w[0] + z @ w[1:])
-    return out.reshape(x.shape)
+    step = min(_KVE_MAX_STEP * _KVE_SPAN / span, 2.0 * math.pi * float(r.min()) / 45.0)
+    u, w = _kve_rule(span, 2 ** math.ceil(math.log2(span / step)))
+    # the integrand without e^(-u^2), in place, from z = u / r at u > 0
+    # (it is 1 at u = 0), with asinh z = log(z + sqrt(1 + z^2))
+    z = np.multiply.outer(1.0 / r, u[1:])
+    root = z * z
+    root += 1.0
+    np.sqrt(root, out=root)
+    z += root
+    np.log(z, out=z)
+    z *= 2.0 * nu
+    np.cosh(z, out=z)
+    z /= root
+    return (np.log(2.0 / r) + np.log(w[0] + z @ w[1:])).reshape(x.shape)

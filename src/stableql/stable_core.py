@@ -143,6 +143,12 @@ def _cos_sin(nodes, step, count):
     return cos, sin
 
 
+# Nodes per pass of _uniform_trig_sums.  Its tables of about 80 angles by
+# 128 nodes, 83 kB each, stay in cache and below glibc's 128 kB mmap
+# threshold, so they are not mapped and faulted in afresh on every pass.
+_NODE_CHUNK = 128
+
+
 def _uniform_trig_sums(nodes, step, count, cos_weights, sin_weights):
     """Sums over the nodes u of w(u) cos(u j step) and w(u) sin(u j step), j < count.
 
@@ -157,27 +163,28 @@ def _uniform_trig_sums(nodes, step, count, cos_weights, sin_weights):
     products over tables of count / b coarse and b fine angles per node.
     _cos_sin builds each table by the same identities, so a node needs the
     cosines and sines of about 4 count^(1/4) angles: 36 for the 6001-point
-    half grid of make_grid(), whose two tables hold 155.
+    half grid of make_grid(), whose two tables hold 155.  The nodes are
+    taken _NODE_CHUNK at a time and the products summed.
     """
     nodes = np.asarray(nodes, dtype=float)
     block = math.isqrt(count - 1) + 1
-    cos_c, sin_c = _cos_sin(nodes, step * block, -(-count // block))
-    cos_f, sin_f = _cos_sin(nodes, step, block)
-
-    def trig_sum(weights, first, second, sign):
-        if weights is None:
-            return None
-        weights = np.asarray(weights, dtype=float)
-        w = weights.reshape(nodes.size, -1).T[:, None, :]
-        # (k, blocks, b): rows m, columns i of the sum at j = m * b + i
-        table = (w * first) @ cos_f.T
-        table += sign * ((w * second) @ sin_f.T)
-        flat = table.reshape(table.shape[0], -1)[:, :count]
-        return flat.T.reshape((count,) + weights.shape[1:])
-
-    return (
-        trig_sum(cos_weights, cos_c, sin_c, -1.0),
-        trig_sum(sin_weights, sin_c, cos_c, 1.0),
+    blocks = -(-count // block)
+    weights = [None if w is None else np.asarray(w, dtype=float) for w in (cos_weights, sin_weights)]
+    # (k, blocks, b) per sum: rows m, columns i of the sum at j = m * b + i
+    tables = [None if w is None else np.zeros((w.size // nodes.size, blocks, block)) for w in weights]
+    for start in range(0, nodes.size, _NODE_CHUNK):
+        part = slice(start, start + _NODE_CHUNK)
+        cos_c, sin_c = _cos_sin(nodes[part], step * block, blocks)
+        cos_f, sin_f = _cos_sin(nodes[part], step, block)
+        pairs = ((cos_c, sin_c, -1.0), (sin_c, cos_c, 1.0))
+        for w, table, (first, second, sign) in zip(weights, tables, pairs):
+            if w is not None:
+                w = w[part].reshape(first.shape[1], -1).T[:, None, :]
+                table += (w * first) @ cos_f.T
+                table += sign * ((w * second) @ sin_f.T)
+    return tuple(
+        None if w is None else t.reshape(t.shape[0], -1)[:, :count].T.reshape((count,) + w.shape[1:])
+        for w, t in zip(weights, tables)
     )
 
 

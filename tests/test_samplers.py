@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from stableql.errors import DomainError
-from stableql.samplers import NoiseSpec, RngStream, _inverse_gaussian, _log_kve
+from stableql.samplers import _KVE_MIN_X, NoiseSpec, RngStream, _inverse_gaussian, _log_kve
 
 
 class TestStableSampler:
@@ -178,8 +178,34 @@ class TestBesselK:
     def test_matches_scipy_kve(self, nu):
         from scipy.special import kve
 
-        x = np.geomspace(1e-2, 1e7, 20001)
+        # one call over the whole range takes the rule of its smallest
+        # argument; one call per argument takes the coarsest rule each allows
+        x = np.geomspace(_KVE_MIN_X, 1e7, 20001)
         np.testing.assert_allclose(_log_kve(nu, x), np.log(kve(nu, x)), rtol=0, atol=1e-13)
+        alone = np.array([_log_kve(nu, v) for v in x[::50]])
+        np.testing.assert_allclose(alone, np.log(kve(nu, x[::50])), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [(NoiseSpec("gh_nig", gh_lambda=0.7, gh_eta=1e-15), "gh_eta"),
+         (NoiseSpec("nig", eta=_KVE_MIN_X / 2), "eta")],
+        ids=["gh_nig", "nig"],
+    )
+    def test_exponent_below_the_smallest_eta_is_a_domain_error(self, spec, name):
+        # the rule's node count grows as x^(-1/2): below the floor it would
+        # run to gigabytes, so the exponent refuses, naming the parameter
+        with pytest.raises(DomainError, match=f"'{name}' >= "):
+            spec.exponent(np.array([1.0, 2.0]), 0.1)
+
+    def test_exponent_at_the_smallest_eta(self):
+        from scipy.special import kve
+
+        # psi_1(v) = lam/2 log(eta^2 / (eta^2 + v^2)) + log K_lam(s) - log K_lam(eta)
+        lam, eta, v = 0.7, _KVE_MIN_X, np.array([1e-3, 0.5, 30.0])
+        s = np.hypot(eta, v)
+        exact = 0.5 * lam * np.log(eta**2 / s**2) + np.log(kve(lam, s) / kve(lam, eta)) - s + eta
+        spec = NoiseSpec("gh_nig", gh_lambda=lam, gh_eta=eta)
+        np.testing.assert_allclose(spec.exponent(v, 1.0), exact, rtol=0, atol=1e-12)
 
     def test_keeps_shape(self):
         x = np.array([[0.5, 2.0], [30.0, 4e5]])

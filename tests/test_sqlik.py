@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from stableql import sqlik
 from stableql.errors import DomainError, ModelViolationError, OptimizationError, UsageError
@@ -324,3 +324,25 @@ class TestFit:
         assert nm.success
         assert np.max(np.abs(nm.x - best.theta_hat.full)) < 1e-5
         assert best.loglik >= -nm.fun - 1e-9
+
+    @pytest.mark.parametrize(
+        "gap, converged", [(2.7e-14, True), (1e-3, False)], ids=["rounding-tie", "better-optimum"]
+    )
+    def test_abnormal_stop_at_a_converged_optimum(
+        self, monkeypatch, stable_series, nonlinear_1d, kernel15, gap, converged
+    ):
+        # L-BFGS-B's line search can stop abnormally on rounding noise at an
+        # optimum another restart converged to: that tie counts as converged,
+        # and the converged restart is reported; a clearly better abnormal
+        # stop still wins and is reported as not converged
+        fun = 17.088111989128777
+        runs = iter([(fun, True), (fun - gap, False), (fun + 2.5e-14, True)])
+
+        def fake_minimize(objective, start, **options):
+            value, success = next(runs)
+            return OptimizeResult(fun=value, jac=np.zeros(2), x=start, nfev=1, success=success)
+
+        monkeypatch.setattr(sqlik, "_minimize", lambda: fake_minimize)
+        result = fit(stable_series, nonlinear_1d, 1.5, kernel15, OptimizerConfig(restarts=3))
+        assert result.converged is converged
+        assert result.loglik == (-fun if converged else -(fun - gap))
