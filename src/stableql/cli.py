@@ -184,6 +184,7 @@ def _cmd_fit(args) -> int:
         "score_norm": result.score_norm,
         "converged": result.converged,
         "restarts": result.restarts_used,
+        "restarts_agreeing": result.restarts_agreeing,
         "confidence_level": args.level,
         "confidence_intervals": [[float(a), float(b)] for a, b in ci],
     }

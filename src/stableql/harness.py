@@ -34,7 +34,7 @@ from .inference import confidence_intervals, studentize
 from .models import ModelSpec, build_model
 from .samplers import NoiseSpec, RngStream
 from .sde import simulate_fine, thin
-from .sqlik import OptimizerConfig, _minimize, _start_box, fit
+from .sqlik import OptimizerConfig, _start_box, fit
 from .stable_core import StableKernel
 
 __all__ = [
@@ -114,12 +114,11 @@ def _cached_context(config: ExperimentConfig):
     """The (model, kernel) pair of a config, built once per process.
 
     Pool workers forked after the first call inherit the pair, the kernel's
-    tables and information constants included, and the optimizer's import,
-    which the first call makes.
+    tables and information constants included.  Nothing here or in a
+    replicate imports scipy.
     """
     key = (config.model_name, config.model_kwargs, config.beta_fit)
     if key not in _WORKER_CACHE:
-        _minimize()
         _WORKER_CACHE[key] = (config.build_model(), StableKernel(config.beta_fit))
     return _WORKER_CACHE[key]
 

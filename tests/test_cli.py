@@ -111,6 +111,7 @@ class TestSimulateAndFit:
         assert code == 0
         report = json.loads(out)
         assert report["converged"] is True
+        assert 1 <= report["restarts_agreeing"] <= report["restarts"] == 3
         assert len(report["theta_hat"]) == 2
         assert len(report["confidence_intervals"]) == 2
         lo, hi = report["confidence_intervals"][0]

@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, and each path
-imports only what it runs: PyYAML, the process pool and scipy, which only the
-fitter uses, load at their first use, and sympy, a test-only oracle, never
-loads."""
+imports only what it runs: PyYAML and the process pool load at their first
+use, and scipy and sympy, test-only oracles, never load."""
 
 import ast
+import json
+import math
 import os
 import subprocess
 import sys
@@ -94,16 +95,33 @@ def test_constants_command_loads_no_model_compiler_or_yaml():
     assert _loaded(code, heavy) == []
 
 
-def test_mc_context_loads_the_optimizer_for_pool_workers():
-    # workers forked after _cached_context inherit scipy.optimize, so no job
-    # pays for its import
-    imports = (
+def test_mc_context_loads_no_scipy():
+    code = (
         "from stableql.config import preset_config\n"
         "from stableql.harness import _cached_context\n"
+        "_cached_context(preset_config('nig-1d'))\n"
     )
-    assert _loaded(imports, ("scipy.optimize",)) == []
-    code = imports + "_cached_context(preset_config('nig-1d'))\n"
-    assert _loaded(code, ("scipy.optimize",)) == ["scipy.optimize"]
+    assert _loaded(code, ("scipy",)) == []
+
+
+def test_fit_command_loads_no_scipy(tmp_path):
+    # python -m stableql.cli fit on a 200-point path
+    data = tmp_path / "path.csv"
+    t = [0.01 * i for i in range(201)]
+    x = [math.sin(3.0 * ti) + 0.05 * math.cos(37.0 * ti) for ti in t]
+    data.write_text("t,x\n" + "".join(f"{ti!r},{xi!r}\n" for ti, xi in zip(t, x)))
+    report = tmp_path / "report.json"
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['stableql.cli', 'fit', '--data', {str(data)!r}, '--beta', '1.5',\n"
+        f"            '--restarts', '2', '--out', {str(report)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('stableql.cli', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+    )
+    assert _loaded(code, ("scipy",)) == []
+    assert json.loads(report.read_text())["converged"] is True
 
 
 # One replicate of a small stable15-1d design, run in one process.
@@ -120,7 +138,7 @@ _SMALL_RUN = (
 
 def test_model_build_and_mc_run_load_no_sympy():
     code = "from stableql.models import build_model\nbuild_model('nonlinear-2d')\n"
-    heavy = ("sympy", "scipy.integrate")
+    heavy = ("sympy", "scipy")
     assert _loaded(code, heavy) == []
     assert _loaded(_SMALL_RUN, heavy) == []
 
