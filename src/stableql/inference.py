@@ -41,17 +41,20 @@ __all__ = [
 ]
 
 
-def psd_sqrt(mat: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+_EIGEN_FLOOR = 1e-12
+
+
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues below ``floor`` times the largest are clipped up to keep the
-    root well defined for nearly singular information matrices.
+    Eigenvalues below _EIGEN_FLOOR times the largest are clipped up to keep
+    the root well defined for nearly singular information matrices.
     """
     mat = 0.5 * (mat + mat.T)
     vals, vecs = np.linalg.eigh(mat)
     if vals[-1] <= 0.0:
         raise NumericError("information matrix is not positive semidefinite")
-    vals = np.clip(vals, floor * vals[-1], None)
+    vals = np.clip(vals, _EIGEN_FLOOR * vals[-1], None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 

@@ -102,8 +102,9 @@ class NoiseSpec:
         """count increments over steps of length dt.
 
         A stable draw is dt^(1/beta) times a standard S_beta variate (strict
-        self-similarity); a nig draw is Gaussian with inverse-Gaussian mixing
-        variance IG(dt/eta, dt^2).
+        self-similarity) by the Chambers-Mallows-Stuck transform, which at
+        beta = 1 is sin(V) / cos(V); a nig draw is Gaussian with
+        inverse-Gaussian mixing variance IG(dt/eta, dt^2).
         """
         self.require_sampler()
         if dt <= 0 or not np.isfinite(dt):
@@ -116,17 +117,12 @@ class NoiseSpec:
             return np.sqrt(mixing) * gen.standard_normal(size=count)
         beta = self.beta
         v = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=count)
-        if beta == 1.0:
-            # exact Cauchy branch; avoids the removable singularity of the
-            # general polar transform at beta = 1
-            x = np.tan(v)
-        else:
-            w = gen.standard_exponential(size=count)
-            x = (
-                np.sin(beta * v)
-                / np.cos(v) ** (1.0 / beta)
-                * (np.cos((1.0 - beta) * v) / w) ** ((1.0 - beta) / beta)
-            )
+        w = gen.standard_exponential(size=count)
+        x = (
+            np.sin(beta * v)
+            / np.cos(v) ** (1.0 / beta)
+            * (np.cos((1.0 - beta) * v) / w) ** ((1.0 - beta) / beta)
+        )
         return dt ** (1.0 / beta) * x
 
     def exponent(self, u, h: float) -> np.ndarray:

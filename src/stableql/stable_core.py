@@ -13,17 +13,20 @@ optimizer run:
     g(y)  = phi'(y) / phi(y)          (score; k(y) = 1 + y g(y))
     dg(y) = phi''/phi - (phi'/phi)^2  (Hessian)
 
-StableKernel decides at construction how to evaluate them.  At beta = 1 the
-law is standard Cauchy and all three are closed form.  Otherwise phi, phi'
-and phi'' are computed once by the inversion integral on a uniform grid over
-[0, TAIL_CUTOFF] (composite Gauss-Legendre quadrature, summed at every grid
-point by _uniform_trig_sums; angle addition leaves each node the cosines and
-sines of about 4 count^(1/4) angles for count grid points), and log phi and
-g are tabulated from them as cubic Hermite interpolants whose slopes are the
-exact g and dg; dg is the derivative of the g interpolant.  log phi is even,
-g odd and dg even, so the half grid serves negative y too.  Beyond the
-cutoff the asymptotic tail series of phi and its derivatives takes over.
-phi, phi', phi'' and k derive from log phi, g and dg.
+StableKernel evaluates each of them through one evaluator, _evaluate, which
+serves every point from one of three sources.  At beta = 1 the law is
+standard Cauchy and all three are closed form.  Otherwise phi, phi' and
+phi'' are computed once, at construction, by the inversion integral on a
+uniform grid over [0, TAIL_CUTOFF] (composite Gauss-Legendre quadrature,
+summed at every grid point by _uniform_trig_sums; angle addition leaves each
+node the cosines and sines of about 4 count^(1/4) angles for count grid
+points), and log phi and g are tabulated from them as cubic Hermite
+interpolants whose slopes are the exact g and dg; dg is the derivative of
+the g interpolant.  log phi is even, g odd and dg even, so the half grid
+serves negative y too.  The tables serve the points with |y| <=
+TAIL_CUTOFF; the asymptotic tail series of phi and its derivatives serves
+the points beyond, for the one function asked for.  phi, phi', phi'' and k
+derive from log phi, g and dg.
 
 llt's density inversion shares the quadrature: _frequency_cutoff picks
 where the nodes end and _panel_nodes places them, for the kernel's tables
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -230,30 +232,10 @@ def _points(y) -> np.ndarray:
     return y
 
 
-# Cauchy closed forms through r = hypot(1, y), u = y / r and v = 1 / r, finite
-# for every finite y; 1 + y^2 itself overflows beyond |y| ~ 1e154.  log phi
-# and g, which every objective evaluation and score call, keep the cheaper
-# forms in 1 + y^2 while all points lie below _CAUCHY_SQUARE_SAFE.
+# Past this |y| the Cauchy closed forms go through r = hypot(1, y), u = y / r
+# and v = 1 / r, finite for every finite y; below it they keep the cheaper
+# forms in 1 + y^2, which itself overflows beyond |y| ~ 1e154.
 _CAUCHY_SQUARE_SAFE = 1e150
-
-
-def _cauchy_log_phi(y):
-    if np.abs(y).max(initial=0.0) < _CAUCHY_SQUARE_SAFE:
-        return -np.log(np.pi) - np.log1p(y * y)
-    return -np.log(np.pi) - 2.0 * np.log(np.hypot(1.0, y))
-
-
-def _cauchy_g(y):
-    if np.abs(y).max(initial=0.0) < _CAUCHY_SQUARE_SAFE:
-        return -2.0 * y / (1.0 + y * y)
-    r = np.hypot(1.0, y)
-    return -2.0 * (y / r) * (1.0 / r)
-
-
-def _cauchy_dg(y):
-    r = np.hypot(1.0, y)
-    u, v = y / r, 1.0 / r
-    return -2.0 * v * v * (v * v - u * u)
 
 
 @dataclass(frozen=True)
@@ -281,15 +263,9 @@ class StableKernel:
         self.beta = float(beta)
         self._tail_coeffs = _tail_series_coefficients(self.beta)
         self._tail_powers = np.arange(1, self._tail_coeffs.size + 1) * self.beta + 1.0
-        if self.beta == 1.0:
-            self._log_phi, self._g, self._dg = _cauchy_log_phi, _cauchy_g, _cauchy_dg
-        else:
-            self._log_phi, self._g, self._dg = (
-                partial(self._interpolate, table, part)
-                for part, table in enumerate(self._hermite_tables())
-            )
+        self._tables = None if self.beta == 1.0 else self._hermite_tables()
         y, w = _line_quadrature(self.beta)
-        w_phi, g = w * np.exp(self._log_phi(y)), self._g(y)
+        w_phi, g = w * np.exp(self._evaluate(y, 0)), self._evaluate(y, 1)
         self._mass = float(np.sum(w_phi))
         self._constants = InfoConstants(float(w_phi @ g**2), float(w_phi @ (1.0 + y * g) ** 2))
 
@@ -322,61 +298,68 @@ class StableKernel:
         g_table = _hermite(g, dg)
         return _hermite(np.log(phi), g), g_table, g_table[:, 1:] * (np.arange(1, 4) / GRID_STEP)
 
-    # -- tail series -------------------------------------------------------
+    # -- evaluation --------------------------------------------------------
 
-    def _tail(self, y: np.ndarray):
-        """(log phi, g, dg) at points y beyond the table, from the tail series.
+    def _evaluate(self, y: np.ndarray, part: int) -> np.ndarray:
+        """log phi (part 0), g (part 1) or dg (part 2) at the finite points y.
 
-        The series is scaled by its leading power, so the ratios stay finite
-        where the individual terms underflow.
+        At beta = 1 the Cauchy closed forms serve every point.  Otherwise a
+        point with |y| <= TAIL_CUTOFF lies in interval int(|y| / GRID_STEP) of
+        the half grid, whose polynomial is evaluated there; log phi and dg are
+        even and g is odd, so the sign of y restores the left half.  Beyond
+        the cutoff the tail series serves, scaled by its leading power so that
+        its ratios stay finite where the individual terms underflow.
         """
-        ay = np.abs(y)
-        powers = self._tail_powers
-        rel = ay[:, None] ** -(powers - powers[0])[None, :]
-        c = self._tail_coeffs
-        s0 = rel @ c
-        s1 = rel @ (c * powers)
-        s2 = rel @ (c * powers * (powers + 1.0))
-        inv = 1.0 / y
-        g = -inv * s1 / s0
-        return np.log(s0) - powers[0] * np.log(ay), g, inv * inv * s2 / s0 - g * g
-
-    def _interpolate(self, table, part: int, y: np.ndarray) -> np.ndarray:
-        """Tabulated polynomial inside the cutoff, tail series beyond it.
-
-        |y| lies in interval int(|y| / GRID_STEP) of the half grid; log phi
-        and dg are even and g (part 1) is odd, so the sign of y restores the
-        left half.
-        """
+        if self._tables is None:
+            if np.abs(y).max(initial=0.0) < _CAUCHY_SQUARE_SAFE:
+                if part == 0:
+                    return -np.log(np.pi) - np.log1p(y * y)
+                s = 1.0 + y * y
+                return -2.0 * y / s if part == 1 else -2.0 * (1.0 - y * y) / s / s
+            r = np.hypot(1.0, y)
+            if part == 0:
+                return -np.log(np.pi) - 2.0 * np.log(r)
+            u, v = y / r, 1.0 / r
+            return -2.0 * u * v if part == 1 else -2.0 * v * v * (v * v - u * u)
         flat = y.reshape(-1)
         ay = np.abs(flat)
-        pos = np.minimum(ay, TAIL_CUTOFF) / GRID_STEP
+        out = np.empty_like(ay)
+        near = ay <= TAIL_CUTOFF
+        table = self._tables[part]
+        pos = ay[near] / GRID_STEP
         row = np.minimum(pos.astype(np.intp), len(table) - 1)
         t = pos - row
         coeffs = table[row]
-        out = coeffs[:, -1]
+        value = coeffs[:, -1]
         for power in range(table.shape[1] - 2, -1, -1):
-            out = out * t + coeffs[:, power]
-        if part == 1:
-            out *= np.sign(flat)
-        far = ay > TAIL_CUTOFF
+            value = value * t + coeffs[:, power]
+        out[near] = value * np.sign(flat[near]) if part == 1 else value
+        far = ~near
         if far.any():
-            out[far] = self._tail(flat[far])[part]
+            ay, powers, c = ay[far], self._tail_powers, self._tail_coeffs
+            rel = ay[:, None] ** -(powers - powers[0])[None, :]
+            s0 = rel @ c
+            if part == 0:
+                out[far] = np.log(s0) - powers[0] * np.log(ay)
+            else:
+                inv = 1.0 / flat[far]
+                g = -inv * (rel @ (c * powers)) / s0
+                out[far] = g if part == 1 else (
+                    inv * inv * (rel @ (c * powers * (powers + 1.0))) / s0 - g * g
+                )
         return out.reshape(y.shape)
-
-    # -- evaluation --------------------------------------------------------
 
     def log_density(self, y):
         """log phi(y)."""
-        return self._log_phi(_points(y))[()]
+        return self._evaluate(_points(y), 0)[()]
 
     def g(self, y):
         """Log-density derivative phi'/phi; odd and bounded."""
-        return self._g(_points(y))[()]
+        return self._evaluate(_points(y), 1)[()]
 
     def dg(self, y):
         """Derivative of g: phi''/phi - (phi'/phi)^2."""
-        return self._dg(_points(y))[()]
+        return self._evaluate(_points(y), 2)[()]
 
     def density(self, y):
         """phi(y)."""

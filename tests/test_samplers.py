@@ -103,12 +103,23 @@ class TestNig:
 
 class TestNoiseSpec:
     def test_dispatch(self):
-        # each kind draws by its own transform from its stream: stable at
-        # beta = 1 is dt tan(V), nig is Gaussian with IG(dt/eta, dt^2) variance
+        # each kind draws by its own transform from its stream: stable is the
+        # Chambers-Mallows-Stuck transform at every beta, which at beta = 1 is
+        # dt sin(V) / cos(V) and lies within 2 ulp of dt tan(V); nig is
+        # Gaussian with IG(dt/eta, dt^2) variance
         rng = RngStream(12, 0)
         gen = rng.generator()
-        cauchy = 0.1 * np.tan(gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=50))
-        assert np.array_equal(NoiseSpec("stable", beta=1.0).sample(0.1, 50, rng), cauchy)
+        beta, v = 1.0, gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=50)
+        w = gen.standard_exponential(size=50)
+        cms = 0.1 * (
+            np.sin(beta * v)
+            / np.cos(v) ** (1.0 / beta)
+            * (np.cos((1.0 - beta) * v) / w) ** ((1.0 - beta) / beta)
+        )
+        cauchy = NoiseSpec("stable", beta=1.0).sample(0.1, 50, rng)
+        assert np.array_equal(cauchy, cms)
+        tan = 0.1 * np.tan(v)
+        assert np.all(np.abs(cauchy - tan) <= 2.0 * np.spacing(np.abs(tan)))
         gen = rng.generator()
         mixing = _inverse_gaussian(0.1 / 5.0, 0.1**2, 50, gen)
         nig = np.sqrt(mixing) * gen.standard_normal(size=50)

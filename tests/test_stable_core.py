@@ -119,6 +119,25 @@ class TestScores:
                 f = getattr(kernel, method)
                 assert abs(f(outer) - f(inner)) < 1e-9, (method, side)
 
+    @pytest.mark.parametrize("method", ["log_density", "g", "dg"])
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+    def test_table_and_tail_points_evaluate_apart(self, beta, method):
+        # the table serves |y| <= TAIL_CUTOFF and the tail series the points
+        # beyond: a 2-D array mixing both gives, in its shape, each subset's
+        # values as evaluated alone (subsets, since the tail's matrix product
+        # may round one row differently from many)
+        kernel = StableKernel(beta)
+        edge = stable_core.TAIL_CUTOFF
+        y = 20.0 * np.random.default_rng(3).standard_cauchy((40, 25))
+        y[0, :4] = [edge, -edge, np.nextafter(edge, 16.0), -np.nextafter(edge, 16.0)]
+        inside = np.abs(y) <= edge
+        assert inside.any() and not inside.all()
+        f = getattr(kernel, method)
+        values = f(y)
+        assert values.shape == y.shape
+        assert np.array_equal(values[inside], f(y[inside]))
+        assert np.array_equal(values[~inside], f(y[~inside]))
+
     @pytest.mark.parametrize("y", [0.0, 0.4, -1.3, 2.5, 7.0, 14.9, 15.2, -30.0])
     def test_density_derivatives_match_differences(self, kernel15, y):
         step = 1e-5
@@ -149,17 +168,19 @@ class TestScores:
         log_phi = kernel1.log_density(np.append(y, 1e300))[:-1]
         np.testing.assert_allclose(log_phi, -np.log(np.pi) - np.log1p(y * y), rtol=1e-15)
         np.testing.assert_allclose(kernel1.g(y), -2.0 * y / s, rtol=0, atol=1e-15)
-        # dg = -2 v^2 (v^2 - u^2) cancels near |y| = 1: a few ulp of |dg| <= 2
+        # dg divides by s twice where this divides by s^2: a few ulp of |dg| <= 2
         np.testing.assert_allclose(kernel1.dg(y), -2.0 * (1.0 - y * y) / s**2, rtol=0, atol=4e-15)
 
-    def test_cauchy_g_square_form_matches_hypot_form(self, kernel1):
-        # one far point moves g off -2y/(1+y^2) onto its hypot form; they
-        # agree to two ulp of |g| <= 1, 4.44e-16
+    @pytest.mark.parametrize("method", ["g", "dg"])
+    def test_cauchy_g_square_form_matches_hypot_form(self, kernel1, method):
+        # one far point moves g and dg off their forms in 1 + y^2 onto their
+        # hypot forms; they agree to two ulp of |g| <= 1, 4.44e-16, and, as
+        # dg's hypot form cancels near |y| = 1, to a few ulp of |dg| <= 2
+        atol = {"g": 2 * np.finfo(float).eps, "dg": 4e-15}[method]
         y = np.concatenate([np.linspace(-1e3, 1e3, 20001), np.linspace(-3, 3, 6001)])
-        hypot_form = kernel1.g(np.append(y, 1e300))[:-1]
-        np.testing.assert_allclose(
-            kernel1.g(y), hypot_form, rtol=0, atol=2 * np.finfo(float).eps
-        )
+        f = getattr(kernel1, method)
+        hypot_form = f(np.append(y, 1e300))[:-1]
+        np.testing.assert_allclose(f(y), hypot_form, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
     def test_tables_match_scipy_hermite_splines(self, beta):
