@@ -109,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="same as --set base_seed=N")
 
     p = sub.add_parser("llt", help="local limit L1 distances and rate fit")
-    p.add_argument("--config", default=None, help="YAML local-limit config")
+    p.add_argument("--config", default=None,
+                   help="YAML local-limit config; the driver comes from its cf: section "
+                        "or from --set cf.kind=... (one of the two is needed)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="dotted config override, repeatable")

@@ -283,7 +283,13 @@ def preset_config(name: str) -> ExperimentConfig:
 
 def llt_from_config(cfg: dict):
     """Returns (NoiseSpec, h_values list, grid array) for the llt subcommand."""
-    fields = _section(cfg, "llt config", required=("cf",))
+    fields = _section(cfg, "llt config")
+    if "cf" not in fields:
+        raise UsageError(
+            "llt needs a driver: a 'cf' section in the config (--config), such as "
+            "cf: {kind: stable, beta: 1.5}, or its keys set one by one, such as "
+            "--set cf.kind=stable --set cf.beta=1.5"
+        )
     given = [fields[key] for key in ("h_values", "h_grid") if key in fields]
     if len(given) > 1:
         raise UsageError("llt config takes h_values or h_grid, not both")

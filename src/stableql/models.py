@@ -53,7 +53,8 @@ __all__ = ["ModelSpec", "Theta", "build_model", "MODEL_REGISTRY"]
 
 @dataclass(frozen=True)
 class Theta:
-    """Parameter point theta = (alpha, gamma).
+    """Parameter point theta = (alpha, gamma), or a stack of B points, whose
+    alpha and gamma have shapes (B, p_alpha) and (B, p_gamma).
 
     alpha and gamma are read-only copies, so a point never changes.  The
     likelihood functions of ``sqlik`` remember their last pass over the
@@ -76,12 +77,12 @@ class Theta:
 
     @property
     def full(self) -> np.ndarray:
-        return np.concatenate([self.alpha, self.gamma])
+        return np.concatenate([self.alpha, self.gamma], axis=-1)
 
     @classmethod
     def from_full(cls, vec: Sequence[float], p_alpha: int) -> "Theta":
         vec = np.asarray(vec, float)
-        return cls(alpha=vec[:p_alpha], gamma=vec[p_alpha:])
+        return cls(alpha=vec[..., :p_alpha], gamma=vec[..., p_alpha:])
 
 
 # -- expression compiler ----------------------------------------------------
@@ -366,17 +367,26 @@ def _emit(roots, scalar: bool) -> tuple[list[str], list[str]]:
     return lines, [render(root) for root in roots]
 
 
-def _like_x(val, x: np.ndarray) -> np.ndarray:
-    """val as a float array of x's shape; compiled constants return scalars."""
+def _full(val, shape: tuple) -> np.ndarray:
+    """val as a float array of the block's output shape; a compiled constant
+    is a scalar, and a tree in x alone has x's shape."""
     val = np.asarray(val, float)
-    return val if val.shape == x.shape else np.broadcast_to(val, x.shape).copy()
+    if val.shape == shape:
+        return val
+    out = np.empty(shape)
+    out[...] = val
+    return out
 
 
 def _compile_block(trees, args):
-    """f(x, params) -> list of arrays of x's shape, one per tree.
+    """f(x, params) -> list of arrays, one per tree.
 
-    One numpy function with repeated subexpressions computed once; a
-    constant tree, such as the derivative of the scale g1, is broadcast to x.
+    params is one parameter vector, and the arrays have x's shape, or a
+    stack of B vectors, shape (B, p), whose columns broadcast against x as
+    (B, 1) arrays, and the arrays have shape (B,) + x.shape.  One numpy
+    function with repeated subexpressions computed once; a tree that does
+    not involve both x and the parameters, such as the derivative of the
+    scale g1, is broadcast to the full shape.
     """
     lines, results = _emit(trees, scalar=False)
     source = (
@@ -390,7 +400,10 @@ def _compile_block(trees, args):
 
     def evaluate(x, params):
         x = np.asarray(x, float)
-        return [_like_x(v, x) for v in func(x, *np.atleast_1d(params))]
+        params = np.atleast_1d(np.asarray(params, float))
+        stack = params.shape[:-1]
+        columns = params.T.reshape(params.shape[-1:] + stack + (1,) * x.ndim)
+        return [_full(v, stack + x.shape) for v in func(x, *columns)]
 
     return evaluate
 
@@ -524,6 +537,9 @@ class ModelSpec:
 
         a and c have x's shape, da and dc shapes (p_alpha, n) and
         (p_gamma, n); constants, such as the scale g1, are broadcast to them.
+        For stacks of B parameter vectors, shapes (B, p_alpha) and (B,
+        p_gamma), a and c have shape (B, n) and da and dc (p_alpha, B, n) and
+        (p_gamma, B, n), and each row is what its vectors give alone.
         """
         a, *da = self._drift_block(x, alpha)
         c, *dc = self._scale_block(x, gamma)

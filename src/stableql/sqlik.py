@@ -8,12 +8,16 @@ with Euler residuals
 
     eps_j(theta) = (X_j - X_{j-1} - h a_{j-1}(alpha)) / (h^(1/beta) c_{j-1}(gamma)).
 
-Each point gets one pass over the observations: one ModelSpec.coefficients
-call gives a, c and their first derivatives, from which the residuals
-follow.  The pass is remembered on the Theta, so quasi_score at a point
-the fit has accepted reuses the pass quasi_loglik made there.  log phi,
-g, k and dg come from the StableKernel passed in, whose beta must be the
-likelihood's; at beta = 1 it is the closed-form Cauchy one.
+A Theta is one point or a stack of B points, and each gets one pass over
+the observations: one ModelSpec.coefficients call gives a, c and their
+first derivatives, as (B, n) arrays for a stack, from which the residuals
+follow.  H and the score are sums along each row, so a point's values have
+the same bits alone and in any stack; a point of a stack that violates the
+model gets H = -inf, where a single point raises ModelViolationError.  The
+pass is remembered on the Theta, so quasi_score at the points of a stack
+reuses the pass quasi_loglik made there.  log phi, g, k and dg come from
+the StableKernel passed in, whose beta must be the likelihood's; at
+beta = 1 it is the closed-form Cauchy one.
 Analytic gradient and Hessian:
 
     dH/dalpha = -h^(1-1/beta) sum_j (da_{j-1}/c_{j-1}) g(eps_j)
@@ -27,7 +31,8 @@ each by a projected BFGS ascent (Byrd, Lu, Nocedal and Zhu, SISC 1995,
 without the limited memory that p <= 4 does not need) with an Armijo
 backtracking line search (Nocedal and Wright, Numerical Optimization, 2006,
 ch. 3 and 6).  Its bookkeeping is in Python floats: on vectors of 2 or 4
-entries numpy's per-call overhead exceeds the arithmetic.
+entries numpy's per-call overhead exceeds the arithmetic.  The restarts
+advance in lockstep, so one stacked evaluation per round serves them all.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,12 +67,33 @@ def rate_exponent(h: float, beta: float) -> float:
     return float(np.exp((1.0 - 1.0 / beta) * np.log(h)))
 
 
-def _pass(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float):
-    """Scale coefficients c_{j-1}, Euler residuals eps_j, j = 1..n, and the
-    coefficient derivatives da_{j-1}, dc_{j-1} at theta.
+class _Pass(NamedTuple):
+    """One pass over the observations at a stack of points, kept to its
+    admissible rows: c and eps of shape (G, n), da and dc of shapes
+    (p_alpha, G, n) and (p_gamma, G, n); rows, the positions of those G rows
+    in the stack (every row when faults is empty); faults, the violation
+    message of each other row by position; and stack, the number of points,
+    or None for a single point (G = 1)."""
 
-    Raises ModelViolationError, which fit treats as an inadmissible point,
-    where c is not positive and finite or eps is not finite.
+    c: np.ndarray
+    eps: np.ndarray
+    da: np.ndarray
+    dc: np.ndarray
+    rows: np.ndarray | slice
+    faults: dict
+    stack: int | None
+
+
+def _pass(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float) -> _Pass:
+    """Scale coefficients c_{j-1}, Euler residuals eps_j, j = 1..n, and the
+    coefficient derivatives da_{j-1}, dc_{j-1} at theta, a point or a stack.
+
+    A row where c is not positive and finite or eps is not finite is a
+    model violation: it is left out of the arrays, so its residuals reach no
+    kernel, and its message is kept in faults.  For a single point the
+    violation raises ModelViolationError, which fit treats as an inadmissible
+    point.  Every row is computed elementwise from its own point, so it has
+    the same bits in any stack.
 
     The result is remembered on theta, keyed by the identity of obs and model
     and by beta, so a second function evaluated at the same point reuses it.
@@ -76,29 +103,57 @@ def _pass(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float):
         return memo[3]
     if obs.n < 1:
         raise DomainError("need at least one increment")
-    # overflow in the model or the residual surfaces as the
-    # ModelViolationError below, not as a floating-point warning
+    stack = None if theta.alpha.ndim == 1 else len(theta.alpha)
+    # overflow in the model or the residual surfaces as a model violation,
+    # not as a floating-point warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, c, da, dc = model.coefficients(obs.x[:-1], theta.alpha, theta.gamma)
-        eps = (np.diff(obs.x) - obs.h * a) / (obs.h ** (1.0 / beta) * c)
-    _require((c > 0.0) & np.isfinite(c), "scale coefficient non-positive", "c", c)
-    _require(np.isfinite(eps), "residual non-finite", "eps", eps)
-    result = (c, eps, da, dc)
+        a, c, da, dc = model.coefficients(
+            obs.x[:-1], np.atleast_2d(theta.alpha), np.atleast_2d(theta.gamma)
+        )
+        eps = (obs.x[1:] - obs.x[:-1] - obs.h * a) / (obs.h ** (1.0 / beta) * c)
+    admissible = ((c > 0.0) & np.isfinite(c) & np.isfinite(eps)).all(axis=-1)
+    rows, faults = slice(None), {}
+    if not admissible.all():
+        for row in np.flatnonzero(~admissible).tolist():
+            faults[row] = _violation(c[row], eps[row])
+        if stack is None:
+            raise ModelViolationError(faults[0])
+        rows = np.flatnonzero(admissible)
+        c, eps, da, dc = c[rows], eps[rows], da[:, rows], dc[:, rows]
+    result = _Pass(c, eps, da, dc, rows, faults, stack)
     object.__setattr__(theta, "_memo", (obs, model, beta, result))
     return result
 
 
-def _require(ok, violation: str, name: str, values) -> None:
-    if not np.all(ok):
-        bad = int(np.argmax(~ok))
-        raise ModelViolationError(
-            f"{violation} at observation {bad}: {name}={float(values[bad])!r}"
-        )
+def _violation(c, eps) -> str:
+    """The message of a point's first violation: a scale coefficient that
+    is not positive and finite, else a residual that is not finite."""
+    bad = ~((c > 0.0) & np.isfinite(c))
+    if bad.any():
+        j = int(np.argmax(bad))
+        return f"scale coefficient non-positive at observation {j}: c={float(c[j])!r}"
+    j = int(np.argmax(~np.isfinite(eps)))
+    return f"residual non-finite at observation {j}: eps={float(eps[j])!r}"
+
+
+def _rows(p: _Pass, values: np.ndarray, fill: float):
+    """values of the admissible rows of a pass, as the result for its theta:
+    row 0 for a single point, else one row per point of the stack, with
+    fill in the rows of the violating points."""
+    if p.stack is None:
+        return values[0]
+    if not p.faults:
+        return values
+    out = np.full((p.stack,) + values.shape[1:], fill)
+    out[p.rows] = values
+    return out
 
 
 def residuals(obs: ObservationSeries, model: ModelSpec, theta: Theta, beta: float) -> np.ndarray:
-    """Euler residuals eps_j(theta), j = 1..n."""
-    return _pass(obs, model, theta, beta)[1]
+    """Euler residuals eps_j(theta), j = 1..n; NaN rows at the violating
+    points of a stack."""
+    p = _pass(obs, model, theta, beta)
+    return _rows(p, p.eps, math.nan)
 
 
 def quasi_loglik(
@@ -107,13 +162,14 @@ def quasi_loglik(
     theta: Theta,
     beta: float,
     kernel: StableKernel,
-) -> float:
-    """H(theta); finite where _pass raises no ModelViolationError, since phi > 0."""
+):
+    """H(theta): a float for a single point, finite where _pass raises no
+    ModelViolationError, since phi > 0; for a stack of B points an array of
+    B values, -inf at the points that violate the model."""
     _check_kernel(beta, kernel)
-    c, eps, _, _ = _pass(obs, model, theta, beta)
-    return float(
-        np.sum(kernel.log_density(eps) - np.log(c)) - obs.n / beta * np.log(obs.h)
-    )
+    p = _pass(obs, model, theta, beta)
+    values = (kernel.log_density(p.eps) - np.log(p.c)).sum(axis=-1) - obs.n / beta * np.log(obs.h)
+    return float(values[0]) if p.stack is None else _rows(p, values, -math.inf)
 
 
 def _check_kernel(beta: float, kernel: StableKernel) -> None:
@@ -130,15 +186,18 @@ def quasi_score(
     beta: float,
     kernel: StableKernel,
 ) -> np.ndarray:
-    """Gradient of H(theta), length p_alpha + p_gamma."""
+    """Gradient of H(theta), length p_alpha + p_gamma; for a stack of B
+    points shape (B, p_alpha + p_gamma), NaN at the violating points."""
     _check_kernel(beta, kernel)
-    c, eps, da, dc = _pass(obs, model, theta, beta)
+    p = _pass(obs, model, theta, beta)
     hpow = rate_exponent(obs.h, beta)
-    gv = kernel.g(eps)
-    kv = 1.0 + eps * gv
-    grad_alpha = -hpow * (da / c) @ gv
-    grad_gamma = -(dc / c) @ kv
-    return np.concatenate([grad_alpha, grad_gamma])
+    gv = kernel.g(p.eps)
+    kv = 1.0 + p.eps * gv
+    # per-row sums along the observations, so a row's bits do not depend on
+    # the other rows of the stack
+    grad_alpha = (-hpow * (p.da / p.c) * gv).sum(axis=-1)
+    grad_gamma = (-(p.dc / p.c) * kv).sum(axis=-1)
+    return _rows(p, np.concatenate([grad_alpha.T, grad_gamma.T], axis=1), math.nan)
 
 
 def quasi_hessian(
@@ -148,12 +207,14 @@ def quasi_hessian(
     beta: float,
     kernel: StableKernel,
 ) -> np.ndarray:
-    """Symmetric Hessian of H(theta) from analytic second derivatives."""
+    """Symmetric Hessian of H(theta) from analytic second derivatives; for a
+    stack of B points shape (B, p, p), NaN at the violating points."""
     _check_kernel(beta, kernel)
-    c, eps, da, dc = _pass(obs, model, theta, beta)
+    p = _pass(obs, model, theta, beta)
+    c, eps, da, dc = p.c, p.eps, p.da, p.dc
     xl = obs.x[:-1]
-    dda = model.drift_ddalpha(xl, theta.alpha)
-    ddc = model.scale_ddgamma(xl, theta.gamma)
+    dda = model.drift_ddalpha(xl, np.atleast_2d(theta.alpha)[p.rows])
+    ddc = model.scale_ddgamma(xl, np.atleast_2d(theta.gamma)[p.rows])
     hpow = rate_exponent(obs.h, beta)
 
     gv = kernel.g(eps)
@@ -161,22 +222,22 @@ def quasi_hessian(
     dgv = kernel.dg(eps)
 
     p_a, p_g = model.p_alpha, model.p_gamma
-    H = np.zeros((p_a + p_g, p_a + p_g))
+    H = np.zeros((len(c), p_a + p_g, p_a + p_g))
 
     # alpha-alpha block
-    H[:p_a, :p_a] = -hpow * np.einsum("abj,j->ab", dda, gv / c) + hpow**2 * np.einsum(
-        "aj,bj,j->ab", da, da, dgv / c**2
+    H[:, :p_a, :p_a] = -hpow * np.einsum("abzj,zj->zab", dda, gv / c) + hpow**2 * np.einsum(
+        "azj,bzj,zj->zab", da, da, dgv / c**2
     )
     # gamma-gamma block
     dcc = dc / c
-    H[p_a:, p_a:] = -np.einsum("abj,j->ab", ddc, kv / c) + np.einsum(
-        "aj,bj,j->ab", dcc, dcc, kv + eps * gv + eps**2 * dgv
+    H[:, p_a:, p_a:] = -np.einsum("abzj,zj->zab", ddc, kv / c) + np.einsum(
+        "azj,bzj,zj->zab", dcc, dcc, kv + eps * gv + eps**2 * dgv
     )
     # mixed block
-    cross = hpow * np.einsum("aj,bj,j->ab", da / c, dcc, gv + eps * dgv)
-    H[:p_a, p_a:] = cross
-    H[p_a:, :p_a] = cross.T
-    return H
+    cross = hpow * np.einsum("azj,bzj,zj->zab", da / c, dcc, gv + eps * dgv)
+    H[:, :p_a, p_a:] = cross
+    H[:, p_a:, :p_a] = cross.transpose(0, 2, 1)
+    return _rows(p, H, math.nan)
 
 
 # A restart stops after ITER_LIMIT accepted steps, or where its normalized
@@ -271,13 +332,14 @@ def _norm(v) -> float:
     return math.sqrt(_dot(v, v))
 
 
-def _search(loglik, x, value, projected, direction, bounds):
+def _search(x, value, projected, direction, bounds):
     """Armijo backtracking along the projected path x(t) = P(x + t d).
 
+    A generator: it yields each trial point and receives (H, score) there.
     Starts at t = 1 and shrinks t by safeguarded quadratic interpolation,
     to [0.1 t, 0.5 t], for at most TRIAL_LIMIT trials; a trial whose
     clipped step does not ascend is halved without an evaluation.  Returns
-    the accepted (point, H, Theta), or None when no trial increases H
+    the accepted (point, H, score), or None when no trial increases H
     enough or the point no longer moves.
     """
     t = 1.0
@@ -289,9 +351,9 @@ def _search(loglik, x, value, projected, direction, bounds):
         if not slope > 0.0:
             t *= 0.5
             continue
-        trial_value, theta = loglik(trial)
+        trial_value, trial_score = yield trial
         if trial_value >= value + ARMIJO * slope:
-            return trial, trial_value, theta
+            return trial, trial_value, trial_score
         # the quadratic through H(x), the slope at x and H(x(t)) peaks at
         # t_max; 0 where H(x(t)) = -inf
         t_max = 0.5 * slope * t / (value + slope - trial_value)
@@ -299,10 +361,12 @@ def _search(loglik, x, value, projected, direction, bounds):
     return None
 
 
-def _ascend(loglik, gradient, start, bounds, dn):
+def _ascend(start, bounds, dn):
     """One restart: maximize H from start by projected BFGS.
 
-    The first step follows the projected score, capped at unit length; later
+    A generator: it yields each point it evaluates, start first, and
+    receives (H, score) there, H = -inf where the model is violated.  The
+    first step follows the projected score, capped at unit length; later
     steps use the BFGS approximation of the inverse of -Hessian, Shanno-Phua
     scaled at its first update, on the coordinates not held on a bound, and
     the capped projected score where that direction does not ascend.  A step
@@ -311,10 +375,9 @@ def _ascend(loglik, gradient, start, bounds, dn):
     or None when H is not finite at start.
     """
     x = start
-    value, theta = loglik(x)
+    value, score = yield x
     if not math.isfinite(value):
         return None
-    score = gradient(theta)
     projected, norm = _stationarity(x, score, bounds, dn)
     inverse = None
     for _ in range(ITER_LIMIT):
@@ -331,11 +394,10 @@ def _ascend(loglik, gradient, start, bounds, dn):
         if direction is None or not _dot(direction, projected) > 0.0:
             scale = 1.0 / max(1.0, _norm(projected))
             direction = [pi * scale for pi in projected]
-        accepted = _search(loglik, x, value, projected, direction, bounds)
+        accepted = yield from _search(x, value, projected, direction, bounds)
         if accepted is None:
             break
-        new_x, value, theta = accepted
-        new_score = gradient(theta)
+        new_x, value, new_score = accepted
         step = [b - a for a, b in zip(x, new_x)]
         change = [a - b for a, b in zip(score, new_score)]
         x, score = new_x, new_score
@@ -360,6 +422,34 @@ def _ascend(loglik, gradient, start, bounds, dn):
     return value, -norm, x, norm <= GTOL
 
 
+def _lockstep(obs, model, beta, kernel, starts, dn):
+    """Run one _ascend per start in rounds, each of which evaluates the
+    pending point of every restart still running as one stack.
+
+    Returns each restart's outcome (None where H was not finite at its
+    start), the number of points evaluated, and the violation messages of
+    the inadmissible points, in round and stack order.
+    """
+    restarts = [_ascend(start, model.bounds, dn) for start in starts]
+    pending = {i: next(restart) for i, restart in enumerate(restarts)}
+    outcomes = [None] * len(restarts)
+    violations: list[str] = []
+    n_evals = 0
+    while pending:
+        stack = Theta.from_full(list(pending.values()), model.p_alpha)
+        values = quasi_loglik(obs, model, stack, beta, kernel)
+        scores = quasi_score(obs, model, stack, beta, kernel)
+        violations += _pass(obs, model, stack, beta).faults.values()
+        n_evals += len(pending)
+        for i, value, score in zip(list(pending), values.tolist(), scores.tolist()):
+            try:
+                pending[i] = restarts[i].send((value, score))
+            except StopIteration as stop:
+                del pending[i]
+                outcomes[i] = stop.value
+    return outcomes, n_evals, violations
+
+
 def fit(
     obs: ObservationSeries,
     model: ModelSpec,
@@ -371,12 +461,15 @@ def fit(
     """Maximize H over the bounds box by projected BFGS with uniform
     multistart.
 
-    Each restart (_ascend) evaluates quasi_loglik at every trial point and
-    quasi_score, which reuses the trial's pass, at every accepted one; a
-    point where the model is violated counts as H = -inf.  A restart has
-    converged when its normalized projected score norm, the score scaled by
-    the Studentization rates sqrt(n) h^(1-1/beta) (alpha) and sqrt(n)
-    (gamma), is at most GTOL.
+    The restarts (_ascend) run in lockstep: each round stacks the next point
+    of every restart still running and evaluates quasi_loglik and
+    quasi_score there, in one call each and one pass over the observations;
+    a restart leaves the stack when it finishes.  A row of the stack has the
+    bits its point has alone, so each restart ends where it would alone.  A
+    point where the model is violated counts as H = -inf.  n_evals counts
+    the points evaluated.  A restart has converged when its normalized
+    projected score norm, the score scaled by the Studentization rates
+    sqrt(n) h^(1-1/beta) (alpha) and sqrt(n) (gamma), is at most GTOL.
 
     The winner is the restart with the largest H value; exact ties are broken
     by the smaller normalized score norm so the result is deterministic.  An
@@ -394,28 +487,8 @@ def fit(
     root_n = math.sqrt(obs.n)
     dn = [root_n * rate_exponent(obs.h, beta)] * model.p_alpha + [root_n] * model.p_gamma
 
-    violations: list[str] = []
-    n_evals = 0
-
-    def loglik(x):
-        # the Theta carries the pass to quasi_score if the point is accepted
-        nonlocal n_evals
-        n_evals += 1
-        theta = Theta.from_full(x, model.p_alpha)
-        try:
-            return quasi_loglik(obs, model, theta, beta, kernel), theta
-        except ModelViolationError as exc:
-            violations.append(str(exc))
-            return -math.inf, theta
-
-    def gradient(theta):
-        return quasi_score(obs, model, theta, beta, kernel).tolist()
-
-    candidates = []
-    for start in inits.tolist():
-        candidate = _ascend(loglik, gradient, start, model.bounds, dn)
-        if candidate is not None:
-            candidates.append(candidate)
+    outcomes, n_evals, violations = _lockstep(obs, model, beta, kernel, inits.tolist(), dn)
+    candidates = [outcome for outcome in outcomes if outcome is not None]
     if not candidates:
         detail = f"model violation: {violations[-1]}" if violations else "no detail"
         raise OptimizationError(f"all {len(inits)} restarts failed ({detail})")

@@ -25,8 +25,10 @@ interpolants whose slopes are the exact g and dg; dg is the derivative of
 the g interpolant.  log phi is even, g odd and dg even, so the half grid
 serves negative y too.  The tables serve the points with |y| <=
 TAIL_CUTOFF; the asymptotic tail series of phi and its derivatives serves
-the points beyond, for the one function asked for.  phi, phi', phi'' and k
-derive from log phi, g and dg.
+the points beyond, for the one function asked for, as polynomials in
+|y|^(-beta) by Horner's rule.  Every value is a function of its own point
+alone: evaluating an array at once and point by point gives the same bits.
+phi, phi', phi'' and k derive from log phi, g and dg.
 
 llt's density inversion shares the quadrature: _frequency_cutoff picks
 where the nodes end and _panel_nodes places them, for the kernel's tables
@@ -232,6 +234,16 @@ def _points(y) -> np.ndarray:
     return y
 
 
+def _horner(coefficients, r):
+    """sum_k coefficients[k] r^k by Horner's rule, each value a function of
+    its own r alone."""
+    value = coefficients[-1] * r + coefficients[-2]
+    for c in coefficients[-3::-1]:
+        value *= r
+        value += c
+    return value
+
+
 # Past this |y| the Cauchy closed forms go through r = hypot(1, y), u = y / r
 # and v = 1 / r, finite for every finite y; below it they keep the cheaper
 # forms in 1 + y^2, which itself overflows beyond |y| ~ 1e154.
@@ -261,8 +273,13 @@ class StableKernel:
                 "the Gaussian-limit normalization is incompatible with exp(-|u|^2)"
             )
         self.beta = float(beta)
-        self._tail_coeffs = _tail_series_coefficients(self.beta)
-        self._tail_powers = np.arange(1, self._tail_coeffs.size + 1) * self.beta + 1.0
+        # the tail series of phi, phi' and phi'', scaled by |y|^(1+beta) and
+        # by -y and y^2, as polynomials in r = |y|^(-beta), lowest power first
+        coeffs = _tail_series_coefficients(self.beta)
+        powers = np.arange(1, coeffs.size + 1) * self.beta + 1.0
+        self._tail_polys = tuple(
+            poly.tolist() for poly in (coeffs, coeffs * powers, coeffs * powers * (powers + 1.0))
+        )
         self._tables = None if self.beta == 1.0 else self._hermite_tables()
         y, w = _line_quadrature(self.beta)
         w_phi, g = w * np.exp(self._evaluate(y, 0)), self._evaluate(y, 1)
@@ -308,7 +325,8 @@ class StableKernel:
         the half grid, whose polynomial is evaluated there; log phi and dg are
         even and g is odd, so the sign of y restores the left half.  Beyond
         the cutoff the tail series serves, scaled by its leading power so that
-        its ratios stay finite where the individual terms underflow.
+        its ratios stay finite where the individual terms underflow: three
+        polynomials in r = |y|^(-beta) that share r.
         """
         if self._tables is None:
             if np.abs(y).max(initial=0.0) < _CAUCHY_SQUARE_SAFE:
@@ -336,16 +354,16 @@ class StableKernel:
         out[near] = value * np.sign(flat[near]) if part == 1 else value
         far = ~near
         if far.any():
-            ay, powers, c = ay[far], self._tail_powers, self._tail_coeffs
-            rel = ay[:, None] ** -(powers - powers[0])[None, :]
-            s0 = rel @ c
+            ay = ay[far]
+            r = ay ** -self.beta
+            s0 = _horner(self._tail_polys[0], r)
             if part == 0:
-                out[far] = np.log(s0) - powers[0] * np.log(ay)
+                out[far] = np.log(s0) - (self.beta + 1.0) * np.log(ay)
             else:
                 inv = 1.0 / flat[far]
-                g = -inv * (rel @ (c * powers)) / s0
+                g = -inv * _horner(self._tail_polys[1], r) / s0
                 out[far] = g if part == 1 else (
-                    inv * inv * (rel @ (c * powers * (powers + 1.0))) / s0 - g * g
+                    inv * inv * _horner(self._tail_polys[2], r) / s0 - g * g
                 )
         return out.reshape(y.shape)
 

@@ -335,6 +335,12 @@ class TestLlt:
         assert code == 2
         assert "DomainError" in err and "'beta'" in err
 
+    def test_no_driver_names_both_remedies(self, capsys, tmp_path):
+        code, _, err = run(capsys, "llt", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "UsageError" in err and "'cf' section" in err and "--set cf.kind=" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "llt", "--out", str(tmp_path / "out"), "--set", "hvals=[1]",

@@ -217,32 +217,142 @@ class TestOnePass:
             quasi_score(stable_series, nonlinear_1d, copy, 1.5, kernel15), score
         )
 
-    def test_fit_makes_one_pass_per_evaluation(self, stable_series, nonlinear_1d,
-                                               kernel15, monkeypatch):
-        calls = []
-        monkeypatch.setattr(ModelSpec, "coefficients",
-                            counting(calls, "pass", ModelSpec.coefficients))
+    def test_fit_makes_one_pass_per_round(self, stable_series, nonlinear_1d,
+                                          kernel15, monkeypatch):
+        # one coefficients call per round, on the stack of that round's points
+        stacks, rounds = [], []
+        coefficients = ModelSpec.coefficients
+
+        def recording(self, x, alpha, gamma):
+            stacks.append(len(alpha))
+            return coefficients(self, x, alpha, gamma)
+
+        monkeypatch.setattr(ModelSpec, "coefficients", recording)
+        monkeypatch.setattr(sqlik, "quasi_loglik",
+                            counting(rounds, "round", sqlik.quasi_loglik))
         result = fit(stable_series, nonlinear_1d, 1.5, kernel15,
                      OptimizerConfig(restarts=2), RngStream(1, 2))
-        assert len(calls) == result.n_evals
+        assert len(stacks) == len(rounds)
+        assert sum(stacks) == result.n_evals
+        assert stacks[0] == 2 and all(1 <= size <= 2 for size in stacks)
 
     @pytest.mark.parametrize("beta", [1.0, 1.5])
     def test_fit_call_sites(self, beta, stable_series, nonlinear_1d, kernel1, kernel15,
                             monkeypatch):
         # the benchmark's tracer counts the fit's likelihood and kernel calls
-        # through these four attributes: H and log phi at every evaluated
-        # point, the score and g at every accepted one
-        calls = []
+        # through these four attributes: each round calls each once, on the
+        # stack of its points, whose sizes add up to the points evaluated
+        calls, rows = [], {"log_density": [], "g": []}
         for owner, name in [(sqlik, "quasi_loglik"), (sqlik, "quasi_score"),
                             (StableKernel, "log_density"), (StableKernel, "g")]:
-            monkeypatch.setattr(owner, name, counting(calls, name, getattr(owner, name)))
+            original = getattr(owner, name)
+
+            def recording(*args, name=name, original=original):
+                calls.append(name)
+                if name in rows:
+                    rows[name].append(len(args[1]))
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, recording)
         kernel = kernel1 if beta == 1.0 else kernel15
         result = fit(stable_series, nonlinear_1d, beta, kernel,
                      OptimizerConfig(restarts=2), RngStream(1, 2))
-        assert calls.count("quasi_loglik") == calls.count("log_density") == result.n_evals
-        accepted = calls.count("quasi_score")
-        assert calls.count("g") == accepted
-        assert 1 <= accepted <= result.n_evals
+        rounds = calls.count("quasi_loglik")
+        assert calls == ["quasi_loglik", "log_density", "quasi_score", "g"] * rounds
+        assert rows["log_density"] == rows["g"]
+        assert sum(rows["log_density"]) == result.n_evals
+        assert 1 <= rounds < result.n_evals
+
+
+class TestStackedPass:
+    """A stack of points gives, row by row, the bits of single-point calls."""
+
+    @pytest.mark.parametrize("size", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "model_name, beta",
+        [("nonlinear-1d", 1.0), ("nonlinear-1d", 1.5), ("nonlinear-2d", 1.5)],
+    )
+    def test_rows_equal_single_points(self, size, model_name, beta, stable_series,
+                                      kernel1, kernel15):
+        model = build_model(model_name)
+        kernel = kernel1 if beta == 1.0 else kernel15
+        points = model.theta_true.full + np.random.default_rng(size).normal(
+            0.0, 0.5, (size, model.p))
+        if size > 1:
+            # exp(g1 cos(x)) underflows to 0 where cos(x) > 0, overflows elsewhere
+            points[1, model.p_alpha] = -1000.0
+        stack = Theta.from_full(points, model.p_alpha)
+        values = quasi_loglik(stable_series, model, stack, beta, kernel)
+        scores = quasi_score(stable_series, model, stack, beta, kernel)
+        hessians = quasi_hessian(stable_series, model, stack, beta, kernel)
+        assert values.shape == (size,) and scores.shape == (size, model.p)
+        assert hessians.shape == (size, model.p, model.p)
+        for row, point in enumerate(points):
+            theta = Theta.from_full(point, model.p_alpha)
+            if size > 1 and row == 1:
+                with pytest.raises(ModelViolationError, match="scale coefficient"):
+                    quasi_loglik(stable_series, model, theta, beta, kernel)
+                assert values[row] == -np.inf
+                assert np.isnan(scores[row]).all() and np.isnan(hessians[row]).all()
+                continue
+            assert values[row] == quasi_loglik(stable_series, model, theta, beta, kernel)
+            assert np.array_equal(scores[row], quasi_score(stable_series, model, theta, beta,
+                                                           kernel))
+            assert np.array_equal(hessians[row], quasi_hessian(stable_series, model, theta,
+                                                               beta, kernel))
+
+    def test_violating_rows_never_reach_the_kernel(self, stable_series, nonlinear_1d,
+                                                   kernel15, monkeypatch):
+        rows = []
+        log_density = StableKernel.log_density
+
+        def recording(self, y):
+            rows.append(len(y))
+            return log_density(self, y)
+
+        monkeypatch.setattr(StableKernel, "log_density", recording)
+        points = np.array([[-1.0, 1.5], [-1.0, -1000.0], [-0.5, 1.0], [-1.0, 1e6]])
+        values = quasi_loglik(stable_series, nonlinear_1d,
+                              Theta.from_full(points, 1), 1.5, kernel15)
+        assert rows == [2]
+        assert np.isfinite(values[[0, 2]]).all() and (values[[1, 3]] == -np.inf).all()
+        faults = sqlik._pass(stable_series, nonlinear_1d,
+                             Theta.from_full(points, 1), 1.5).faults
+        assert sorted(faults) == [1, 3]
+        assert all(message.startswith("scale coefficient non-positive")
+                   or message.startswith("residual non-finite")
+                   for message in faults.values())
+
+
+class TestLockstep:
+    @pytest.mark.parametrize(
+        "preset, design",
+        [("stable15-1d", 0), ("nig-1d", 0), ("nig-2d", 0)],
+        ids=["stable15-1d-T5-n100", "nig-1d-T1-n500", "nig-2d-T1-n500"],
+    )
+    def test_restarts_end_as_they_would_alone(self, preset, design):
+        # each restart of a 3-restart drive ends at the bits of its start
+        # driven alone, after as many evaluations
+        config = preset_config(preset)
+        model = config.build_model()
+        kernel = StableKernel(config.beta_fit)
+        d = config.designs[design]
+        lo, hi = sqlik._start_box(model, config.optimizer.init_windows)
+        for rep in range(12):
+            rng = RngStream(config.base_seed, rep)
+            obs = thin(simulate_fine(model, config.noise, d.T, d.n_fine, config.x0,
+                                     rng.substream(100)), d.fine_factor)
+            starts = rng.substream(0).generator(purpose=7).uniform(
+                lo, hi, size=(3, model.p)).tolist()
+            root_n = np.sqrt(obs.n)
+            dn = ([root_n * rate_exponent(obs.h, config.beta_fit)] * model.p_alpha
+                  + [root_n] * model.p_gamma)
+            together, evals, _ = sqlik._lockstep(obs, model, config.beta_fit, kernel,
+                                                 starts, dn)
+            alone = [sqlik._lockstep(obs, model, config.beta_fit, kernel, [start], dn)
+                     for start in starts]
+            assert repr(together) == repr([outcomes[0] for outcomes, _, _ in alone]), rep
+            assert evals == sum(count for _, count, _ in alone), rep
 
 
 class TestFit:
@@ -346,8 +456,9 @@ class TestFit:
         value = -17.088111989128777
         runs = iter([(value, True), (value + gap, False), (value - 2.5e-14, True)])
 
-        def fake_ascend(loglik, gradient, start, bounds, dn):
+        def fake_ascend(start, bounds, dn):
             H, ok = next(runs)
+            yield start
             return H, -0.0, start, ok
 
         monkeypatch.setattr(sqlik, "_ascend", fake_ascend)
@@ -431,7 +542,7 @@ class TestAgainstLbfgsb:
         points = []
 
         def recording(obs, model, theta, beta, kernel):
-            points.append(theta.full)
+            points.extend(theta.full)
             return quasi_loglik(obs, model, theta, beta, kernel)
 
         monkeypatch.setattr(sqlik, "quasi_loglik", recording)

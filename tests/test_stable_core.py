@@ -124,8 +124,7 @@ class TestScores:
     def test_table_and_tail_points_evaluate_apart(self, beta, method):
         # the table serves |y| <= TAIL_CUTOFF and the tail series the points
         # beyond: a 2-D array mixing both gives, in its shape, each subset's
-        # values as evaluated alone (subsets, since the tail's matrix product
-        # may round one row differently from many)
+        # values as evaluated alone
         kernel = StableKernel(beta)
         edge = stable_core.TAIL_CUTOFF
         y = 20.0 * np.random.default_rng(3).standard_cauchy((40, 25))
@@ -137,6 +136,18 @@ class TestScores:
         assert values.shape == y.shape
         assert np.array_equal(values[inside], f(y[inside]))
         assert np.array_equal(values[~inside], f(y[~inside]))
+
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+    def test_tail_values_are_pure_functions_of_each_point(self, beta):
+        # a point's value does not depend on the other points of the call
+        kernel = StableKernel(beta)
+        rng = np.random.default_rng(int(10 * beta))
+        y = (15.0 + rng.exponential(20.0, 1000)) * rng.choice([-1.0, 1.0], 1000)
+        for method in ("log_density", "g", "dg"):
+            f = getattr(kernel, method)
+            together = f(y)
+            alone = np.array([f(yi) for yi in y])
+            assert together.tobytes() == alone.tobytes(), method
 
     @pytest.mark.parametrize("y", [0.0, 0.4, -1.3, 2.5, 7.0, 14.9, 15.2, -30.0])
     def test_density_derivatives_match_differences(self, kernel15, y):
