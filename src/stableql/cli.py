@@ -50,6 +50,17 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
+def _level(text: str) -> float:
+    """A confidence level: a number strictly between 0 and 1."""
+    try:
+        level = float(text)
+    except ValueError:
+        level = np.nan
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"confidence level must be in (0, 1), got {text!r}")
+    return level
+
+
 class _Parser(argparse.ArgumentParser):
     """Command-line errors are usage errors: exit 1, not argparse's 2."""
 
@@ -93,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "for an expression model")
     p.add_argument("--beta", type=float, required=True, help="index used by the estimator")
     p.add_argument("--restarts", type=int, default=10, help="multistart count")
-    p.add_argument("--level", type=float, default=0.95, help="confidence level")
+    p.add_argument("--level", type=_level, default=0.95, help="confidence level in (0, 1)")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     _add_seed(p)
 

@@ -15,9 +15,9 @@ follow.  H and the score are sums along each row, so a point's values have
 the same bits alone and in any stack; a point of a stack that violates the
 model gets H = -inf, where a single point raises ModelViolationError.  The
 pass is remembered on the Theta, so quasi_score at the points of a stack
-reuses the pass quasi_loglik made there.  log phi, g, k and dg come from
-the StableKernel passed in, whose beta must be the likelihood's; at
-beta = 1 it is the closed-form Cauchy one.
+reuses the pass quasi_loglik made there.  log phi, g and dg come from
+the StableKernel passed in, whose beta must be the likelihood's, and
+k = 1 + eps g is formed here from g.
 Analytic gradient and Hessian:
 
     dH/dalpha = -h^(1-1/beta) sum_j (da_{j-1}/c_{j-1}) g(eps_j)

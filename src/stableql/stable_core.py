@@ -14,21 +14,21 @@ optimizer run:
     dg(y) = phi''/phi - (phi'/phi)^2  (Hessian)
 
 StableKernel evaluates each of them through one evaluator, _evaluate, which
-serves every point from one of three sources.  At beta = 1 the law is
-standard Cauchy and all three are closed form.  Otherwise phi, phi' and
-phi'' are computed once, at construction, by the inversion integral on a
-uniform grid over [0, TAIL_CUTOFF] (composite Gauss-Legendre quadrature,
-summed at every grid point by _uniform_trig_sums; angle addition leaves each
-node the cosines and sines of about 4 count^(1/4) angles for count grid
-points), and log phi and g are tabulated from them as cubic Hermite
-interpolants whose slopes are the exact g and dg; dg is the derivative of
-the g interpolant.  log phi is even, g odd and dg even, so the half grid
-serves negative y too.  The tables serve the points with |y| <=
-TAIL_CUTOFF; the asymptotic tail series of phi and its derivatives serves
-the points beyond, for the one function asked for, as polynomials in
-|y|^(-beta) by Horner's rule.  Every value is a function of its own point
-alone: evaluating an array at once and point by point gives the same bits.
-phi, phi', phi'' and k derive from log phi, g and dg.
+splits every call once, at a cutoff fixed at construction: a near source
+serves the points inside it, and the tail series of phi and its derivatives,
+as polynomials in |y|^(-beta) by Horner's rule, those beyond.  At beta = 1
+the near source is the standard Cauchy law's closed forms in 1 + y^2, up to
+|y| = 1e150, beyond which the tail series is the exact asymptote.  Otherwise
+phi, phi' and phi'' are computed once, at construction, by the inversion
+integral on a uniform grid over [0, TAIL_CUTOFF] (composite Gauss-Legendre
+quadrature, summed at every grid point by _uniform_trig_sums; angle addition
+leaves each node the cosines and sines of about 4 count^(1/4) angles for
+count grid points), and log phi and g are tabulated from them as cubic
+Hermite interpolants whose slopes are the exact g and dg; dg is the
+derivative of the g interpolant.  These tables, mirrored for negative y,
+serve |y| <= TAIL_CUTOFF.  Every value is a function of its own point alone:
+evaluating an array at once and point by point gives the same bits.  phi,
+phi', phi'' and k derive from log phi, g and dg.
 
 llt's density inversion shares the quadrature: _frequency_cutoff picks
 where the nodes end and _panel_nodes places them, for the kernel's tables
@@ -244,10 +244,17 @@ def _horner(coefficients, r):
     return value
 
 
-# Past this |y| the Cauchy closed forms go through r = hypot(1, y), u = y / r
-# and v = 1 / r, finite for every finite y; below it they keep the cheaper
-# forms in 1 + y^2, which itself overflows beyond |y| ~ 1e154.
+# At beta = 1 the forms in 1 + y^2, which overflows past |y| ~ 1e154, serve |y|
+# up to here; beyond, the tail series, its r^2 below 1e-300, is the exact asymptote.
 _CAUCHY_SQUARE_SAFE = 1e150
+
+
+def _cauchy(y, part):
+    """log phi, g or dg of the standard Cauchy law, in 1 + y^2."""
+    if part == 0:
+        return -np.log(np.pi) - np.log1p(y * y)
+    s = 1.0 + y * y
+    return -2.0 * y / s if part == 1 else -2.0 * (1.0 - y * y) / s / s
 
 
 @dataclass(frozen=True)
@@ -280,7 +287,11 @@ class StableKernel:
         self._tail_polys = tuple(
             poly.tolist() for poly in (coeffs, coeffs * powers, coeffs * powers * (powers + 1.0))
         )
-        self._tables = None if self.beta == 1.0 else self._hermite_tables()
+        if self.beta == 1.0:
+            self._near, self._cutoff = _cauchy, _CAUCHY_SQUARE_SAFE
+        else:
+            self._tables = self._hermite_tables()
+            self._near, self._cutoff = self._interpolate, TAIL_CUTOFF
         y, w = _line_quadrature(self.beta)
         w_phi, g = w * np.exp(self._evaluate(y, 0)), self._evaluate(y, 1)
         self._mass = float(np.sum(w_phi))
@@ -317,54 +328,41 @@ class StableKernel:
 
     # -- evaluation --------------------------------------------------------
 
+    def _interpolate(self, y, part):
+        """Table of part at the points |y| <= TAIL_CUTOFF: the polynomial of half-grid
+        interval int(|y| / GRID_STEP), with the sign of y for the odd g."""
+        table = self._tables[part]
+        pos = np.abs(y) / GRID_STEP
+        row = np.minimum(pos.astype(np.intp), len(table) - 1)
+        value = _horner(table[row].T, pos - row)
+        return value * np.sign(y) if part == 1 else value
+
     def _evaluate(self, y: np.ndarray, part: int) -> np.ndarray:
         """log phi (part 0), g (part 1) or dg (part 2) at the finite points y.
 
-        At beta = 1 the Cauchy closed forms serve every point.  Otherwise a
-        point with |y| <= TAIL_CUTOFF lies in interval int(|y| / GRID_STEP) of
-        the half grid, whose polynomial is evaluated there; log phi and dg are
-        even and g is odd, so the sign of y restores the left half.  Beyond
-        the cutoff the tail series serves, scaled by its leading power so that
-        its ratios stay finite where the individual terms underflow: three
+        The near source, _cauchy at beta = 1 and _interpolate otherwise,
+        serves the points with |y| up to the kernel's cutoff.  The tail series
+        serves the points beyond, scaled by its leading power so that its
+        ratios stay finite where the individual terms underflow: three
         polynomials in r = |y|^(-beta) that share r.
         """
-        if self._tables is None:
-            if np.abs(y).max(initial=0.0) < _CAUCHY_SQUARE_SAFE:
-                if part == 0:
-                    return -np.log(np.pi) - np.log1p(y * y)
-                s = 1.0 + y * y
-                return -2.0 * y / s if part == 1 else -2.0 * (1.0 - y * y) / s / s
-            r = np.hypot(1.0, y)
-            if part == 0:
-                return -np.log(np.pi) - 2.0 * np.log(r)
-            u, v = y / r, 1.0 / r
-            return -2.0 * u * v if part == 1 else -2.0 * v * v * (v * v - u * u)
         flat = y.reshape(-1)
         ay = np.abs(flat)
+        far = ay > self._cutoff
+        if not far.any():
+            return self._near(flat, part).reshape(y.shape)
         out = np.empty_like(ay)
-        near = ay <= TAIL_CUTOFF
-        table = self._tables[part]
-        pos = ay[near] / GRID_STEP
-        row = np.minimum(pos.astype(np.intp), len(table) - 1)
-        t = pos - row
-        coeffs = table[row]
-        value = coeffs[:, -1]
-        for power in range(table.shape[1] - 2, -1, -1):
-            value = value * t + coeffs[:, power]
-        out[near] = value * np.sign(flat[near]) if part == 1 else value
-        far = ~near
-        if far.any():
-            ay = ay[far]
-            r = ay ** -self.beta
-            s0 = _horner(self._tail_polys[0], r)
-            if part == 0:
-                out[far] = np.log(s0) - (self.beta + 1.0) * np.log(ay)
-            else:
-                inv = 1.0 / flat[far]
-                g = -inv * _horner(self._tail_polys[1], r) / s0
-                out[far] = g if part == 1 else (
-                    inv * inv * _horner(self._tail_polys[2], r) / s0 - g * g
-                )
+        near = ~far
+        out[near] = self._near(flat[near], part)
+        ay = ay[far]
+        r = ay ** -self.beta
+        s0 = _horner(self._tail_polys[0], r)
+        if part == 0:
+            out[far] = np.log(s0) - (self.beta + 1.0) * np.log(ay)
+        else:
+            inv = 1.0 / flat[far]
+            g = -inv * _horner(self._tail_polys[1], r) / s0
+            out[far] = g if part == 1 else inv * inv * _horner(self._tail_polys[2], r) / s0 - g * g
         return out.reshape(y.shape)
 
     def log_density(self, y):

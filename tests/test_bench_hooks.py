@@ -10,7 +10,9 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from stableql import harness
 from stableql.llt import make_grid, rate_fit
 from stableql.samplers import NoiseSpec
 from stableql.stable_core import StableKernel
@@ -53,3 +55,25 @@ def test_traced_lab_exercises_every_llt_layer(monkeypatch):
         hooks.uninstall()
     metrics = tracer.layer_metrics(hooks.take(), setup_spans, tiny["h_count"])
     assert [name for name in spec.EXERCISED["llt"] if not metrics[name] > 0] == []
+
+
+@pytest.mark.parametrize("name", ["mc-stable", "mc-nig"])
+def test_traced_mc_exercises_every_mc_layer(monkeypatch, tmp_path, name):
+    # The traced mc-* runs fail when one of these metrics reads 0.  An empty
+    # kernel cache makes setup() build the kernel inside the traced span.
+    monkeypatch.setattr(harness, "_WORKER_CACHE", {})
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    spec = importlib.import_module("spec")
+    workloads = importlib.import_module("workloads")
+    workload = workloads.make(spec.settings(name, tiny=True))
+    hooks = tracer.Tracer()
+    try:
+        hooks.install()
+        workload.setup()
+        setup_spans = hooks.take()
+        workload.run(spec.job_seed(spec.DEFAULT_SEED, 0, 0), 1, tmp_path)
+    finally:
+        hooks.uninstall()
+    metrics = tracer.layer_metrics(hooks.take(), setup_spans, workload.cells_per_job())
+    assert [metric for metric in spec.EXERCISED["mc"] if not metrics[metric] > 0] == []

@@ -56,8 +56,9 @@ class TestConstants:
         ["fit", "--beta", "x"],
         ["constants", "--beta", "1.5", "--seed", "0"],
         ["llt", "--out", "out", "--seed", "0"],
+        ["fit", "--data", "path.csv", "--beta", "1.5", "--level", "1.5"],
     ],
-    ids=["unknown-option", "bad-type", "constants-seed", "llt-seed"],
+    ids=["unknown-option", "bad-type", "constants-seed", "llt-seed", "fit-level"],
 )
 def test_parse_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -301,6 +301,22 @@ class TestStackedPass:
             assert np.array_equal(hessians[row], quasi_hessian(stable_series, model, theta,
                                                                beta, kernel))
 
+    def test_cauchy_rows_ignore_a_far_row(self, stable_series, nonlinear_1d, kernel1):
+        # at beta = 1, row 1's residuals reach 4e175, beyond the Cauchy forms'
+        # 1e150; the other rows keep the bits of their single-point calls
+        points = np.array([[-1.0, 1.5], [-1.0, -400.0], [-0.5, 1.0]])
+        stack = Theta.from_full(points, 1)
+        eps = residuals(stable_series, nonlinear_1d, Theta.from_full(points[1], 1), 1.0)
+        assert np.abs(eps).max() > 1e150
+        values = quasi_loglik(stable_series, nonlinear_1d, stack, 1.0, kernel1)
+        scores = quasi_score(stable_series, nonlinear_1d, stack, 1.0, kernel1)
+        assert np.isfinite(values).all() and np.isfinite(scores).all()
+        for row in (0, 2):
+            theta = Theta.from_full(points[row], 1)
+            assert values[row] == quasi_loglik(stable_series, nonlinear_1d, theta, 1.0, kernel1)
+            assert np.array_equal(
+                scores[row], quasi_score(stable_series, nonlinear_1d, theta, 1.0, kernel1))
+
     def test_violating_rows_never_reach_the_kernel(self, stable_series, nonlinear_1d,
                                                    kernel15, monkeypatch):
         rows = []

@@ -21,6 +21,11 @@ DG_15_AT_07 = -0.6390051297229816
 EVALUATION_METHODS = ["density", "ddensity", "dddensity", "log_density", "g", "k", "dg"]
 
 
+def cutoff(beta):
+    """Where the kernel's tail series takes over from its near source."""
+    return stable_core._CAUCHY_SQUARE_SAFE if beta == 1.0 else stable_core.TAIL_CUTOFF
+
+
 def quad_density(beta, y):
     val, _ = quad(
         lambda u: math.exp(-(u**beta)) / math.pi,
@@ -107,28 +112,36 @@ class TestScores:
         # k(y) -> -beta as |y| -> infinity for the power-law tail
         assert abs(kernel15.k(500.0) + 1.5) < 1e-2
 
-    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("beta", [1.0, 1.2, 1.5, 1.8])
     def test_continuous_across_tail_cutoff(self, beta):
-        # the table ends and the tail series starts at +-TAIL_CUTOFF
+        # the near source ends and the tail series starts at the kernel's
+        # cutoff: TAIL_CUTOFF, or 1e150 at beta = 1, where the bound is
+        # relative (measured up to 1.5e-15, in dg)
         kernel = StableKernel(beta)
-        edge = stable_core.TAIL_CUTOFF
+        edge = cutoff(beta)
         for side in (edge, -edge):
             inner = np.nextafter(side, 0.0)
             outer = np.nextafter(side, 2.0 * side)
             for method in ("log_density", "g", "dg"):
                 f = getattr(kernel, method)
-                assert abs(f(outer) - f(inner)) < 1e-9, (method, side)
+                if beta == 1.0:
+                    assert abs(f(outer) / f(inner) - 1.0) < 4e-15, (method, side)
+                else:
+                    assert abs(f(outer) - f(inner)) < 1e-9, (method, side)
 
     @pytest.mark.parametrize("method", ["log_density", "g", "dg"])
-    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("beta", [1.0, 1.2, 1.5, 1.8])
     def test_table_and_tail_points_evaluate_apart(self, beta, method):
-        # the table serves |y| <= TAIL_CUTOFF and the tail series the points
-        # beyond: a 2-D array mixing both gives, in its shape, each subset's
-        # values as evaluated alone
+        # the near source (the table, or the Cauchy forms at beta = 1) serves
+        # |y| up to the kernel's cutoff and the tail series the points beyond:
+        # a 2-D array mixing both gives, in its shape, each subset's values as
+        # evaluated alone
         kernel = StableKernel(beta)
-        edge = stable_core.TAIL_CUTOFF
-        y = 20.0 * np.random.default_rng(3).standard_cauchy((40, 25))
-        y[0, :4] = [edge, -edge, np.nextafter(edge, 16.0), -np.nextafter(edge, 16.0)]
+        edge = cutoff(beta)
+        scale = edge / stable_core.TAIL_CUTOFF
+        y = scale * 20.0 * np.random.default_rng(3).standard_cauchy((40, 25))
+        beyond = np.nextafter(edge, 2.0 * edge)
+        y[0, :4] = [edge, -edge, beyond, -beyond]
         inside = np.abs(y) <= edge
         assert inside.any() and not inside.all()
         f = getattr(kernel, method)
@@ -137,12 +150,14 @@ class TestScores:
         assert np.array_equal(values[inside], f(y[inside]))
         assert np.array_equal(values[~inside], f(y[~inside]))
 
-    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("beta", [1.0, 1.2, 1.5, 1.8])
     def test_tail_values_are_pure_functions_of_each_point(self, beta):
-        # a point's value does not depend on the other points of the call
+        # a point's value does not depend on the other points of the call;
+        # at beta = 1 the tail starts at 1e150, not at TAIL_CUTOFF
         kernel = StableKernel(beta)
         rng = np.random.default_rng(int(10 * beta))
-        y = (15.0 + rng.exponential(20.0, 1000)) * rng.choice([-1.0, 1.0], 1000)
+        scale = cutoff(beta) / stable_core.TAIL_CUTOFF
+        y = scale * (15.0 + rng.exponential(20.0, 1000)) * rng.choice([-1.0, 1.0], 1000)
         for method in ("log_density", "g", "dg"):
             f = getattr(kernel, method)
             together = f(y)
@@ -175,23 +190,19 @@ class TestScores:
     def test_cauchy_agrees_with_direct_formulas(self, kernel1):
         y = np.concatenate([np.linspace(-1e3, 1e3, 20001), np.linspace(-3, 3, 6001)])
         s = 1.0 + y * y
-        # one far point moves log phi off its log1p(y^2) form onto hypot
         log_phi = kernel1.log_density(np.append(y, 1e300))[:-1]
         np.testing.assert_allclose(log_phi, -np.log(np.pi) - np.log1p(y * y), rtol=1e-15)
         np.testing.assert_allclose(kernel1.g(y), -2.0 * y / s, rtol=0, atol=1e-15)
         # dg divides by s twice where this divides by s^2: a few ulp of |dg| <= 2
         np.testing.assert_allclose(kernel1.dg(y), -2.0 * (1.0 - y * y) / s**2, rtol=0, atol=4e-15)
 
-    @pytest.mark.parametrize("method", ["g", "dg"])
-    def test_cauchy_g_square_form_matches_hypot_form(self, kernel1, method):
-        # one far point moves g and dg off their forms in 1 + y^2 onto their
-        # hypot forms; they agree to two ulp of |g| <= 1, 4.44e-16, and, as
-        # dg's hypot form cancels near |y| = 1, to a few ulp of |dg| <= 2
-        atol = {"g": 2 * np.finfo(float).eps, "dg": 4e-15}[method]
+    @pytest.mark.parametrize("method", ["log_density", "g", "dg"])
+    def test_cauchy_far_point_leaves_other_values_unchanged(self, kernel1, method):
+        # a point beyond 1e150 takes the tail series; the other points of
+        # the call keep their forms in 1 + y^2, bit for bit
         y = np.concatenate([np.linspace(-1e3, 1e3, 20001), np.linspace(-3, 3, 6001)])
         f = getattr(kernel1, method)
-        hypot_form = f(np.append(y, 1e300))[:-1]
-        np.testing.assert_allclose(f(y), hypot_form, rtol=0, atol=atol)
+        assert f(np.append(y, 1e300))[:-1].tobytes() == f(y).tobytes()
 
     @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
     def test_tables_match_scipy_hermite_splines(self, beta):
