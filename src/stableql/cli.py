@@ -160,11 +160,21 @@ def _read_series(path: str) -> ObservationSeries:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"data file not found: {p}")
-    with p.open() as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"t", "x"} - set(reader.fieldnames):
-            raise UsageError(f"{p} must have columns t,x")
-        rows = [(float(r["t"]), float(r["x"])) for r in reader]
+    try:
+        reader = csv.DictReader(p.read_text().splitlines())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read data file {p}: {exc}") from exc
+    if reader.fieldnames is None or {"t", "x"} - set(reader.fieldnames):
+        raise UsageError(f"{p} must have columns t,x")
+    rows = []
+    for r in reader:
+        try:
+            rows.append((float(r["t"]), float(r["x"])))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(
+                f"{p} line {reader.line_num}: t and x must be numbers, "
+                f"got t={r['t']!r}, x={r['x']!r}"
+            ) from exc
     if len(rows) < 2:
         raise UsageError(f"{p} needs at least 2 observations")
     t = np.array([r[0] for r in rows])

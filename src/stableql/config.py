@@ -143,7 +143,11 @@ def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    data = _parse(path.read_text(), f"config {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    data = _parse(text, f"config {path}")
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must be a mapping, got {type(data).__name__}")
     return data

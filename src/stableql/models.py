@@ -23,9 +23,10 @@ expression strings in the variable ``x`` and parameters ``a1..ap`` /
   parameter block and derivative order: the drift block (a, da), the scale
   block (c, dc), and the second derivatives dda and ddc.  In each, a
   subexpression used more than once is computed once, and one used once
-  stays inline.  ``coefficients`` and the six named methods (``drift``,
-  ``scale``, ``drift_dalpha``, ...) are slices of these four.  A model with
-  a true value also carries its Euler walk at that value, a scalar ``math``
+  stays inline, and each function writes its trees into the rows of one
+  array.  ``coefficients`` and the six named methods (``drift``, ``scale``,
+  ``drift_dalpha``, ...) are views of one array per block.  A model with a
+  true value also carries its Euler walk at that value, a scalar ``math``
   loop for the simulators.
 
 Built-in models are plain mappings in ``MODEL_REGISTRY``, holding the same
@@ -367,26 +368,15 @@ def _emit(roots, scalar: bool) -> tuple[list[str], list[str]]:
     return lines, [render(root) for root in roots]
 
 
-def _full(val, shape: tuple) -> np.ndarray:
-    """val as a float array of the block's output shape; a compiled constant
-    is a scalar, and a tree in x alone has x's shape."""
-    val = np.asarray(val, float)
-    if val.shape == shape:
-        return val
-    out = np.empty(shape)
-    out[...] = val
-    return out
-
-
 def _compile_block(trees, args):
-    """f(x, params) -> list of arrays, one per tree.
+    """f(x, params) -> one float array, row i the value of tree i.
 
-    params is one parameter vector, and the arrays have x's shape, or a
-    stack of B vectors, shape (B, p), whose columns broadcast against x as
-    (B, 1) arrays, and the arrays have shape (B,) + x.shape.  One numpy
-    function with repeated subexpressions computed once; a tree that does
-    not involve both x and the parameters, such as the derivative of the
-    scale g1, is broadcast to the full shape.
+    params is one parameter vector, and the array has shape (k,) + x.shape
+    for k trees, or a stack of B vectors, shape (B, p), whose columns
+    broadcast against x as (B, 1) arrays, and the array has shape (k, B) +
+    x.shape.  One numpy function with repeated subexpressions computed once;
+    a tree that does not involve both x and the parameters, such as the
+    derivative of the scale g1, is broadcast into its row by assignment.
     """
     lines, results = _emit(trees, scalar=False)
     source = (
@@ -403,7 +393,10 @@ def _compile_block(trees, args):
         params = np.atleast_1d(np.asarray(params, float))
         stack = params.shape[:-1]
         columns = params.T.reshape(params.shape[-1:] + stack + (1,) * x.ndim)
-        return [_full(v, stack + x.shape) for v in func(x, *columns)]
+        out = np.empty((len(trees),) + stack + x.shape)
+        for i, value in enumerate(func(x, *columns)):
+            out[i] = value
+        return out
 
     return evaluate
 
@@ -447,7 +440,8 @@ class ModelSpec:
 
     ``coefficients(x, alpha, gamma)`` gives a, c and their first parameter
     derivatives together, for the likelihood, from one call of the drift
-    block and one of the scale block.  ``euler_walk(x, delta, increments)``
+    block and one of the scale block; it and the six named methods return
+    views of one array per block.  ``euler_walk(x, delta, increments)``
     is the Euler walk at ``theta_true`` on Python floats, or None for a model
     without a true value.  All are compiled here, once.
     """
@@ -516,21 +510,21 @@ class ModelSpec:
 
     def drift_dalpha(self, x, alpha) -> np.ndarray:
         """Shape (p_alpha, n)."""
-        return np.stack(self._drift_block(x, alpha)[1:])
+        return self._drift_block(x, alpha)[1:]
 
     def drift_ddalpha(self, x, alpha) -> np.ndarray:
         """Shape (p_alpha, p_alpha, n)."""
-        flat = np.stack(self._dda_block(x, alpha))
-        return flat.reshape(self.p_alpha, self.p_alpha, *flat.shape[1:])
+        block = self._dda_block(x, alpha)
+        return block.reshape((self.p_alpha, self.p_alpha) + block.shape[1:])
 
     def scale_dgamma(self, x, gamma) -> np.ndarray:
         """Shape (p_gamma, n)."""
-        return np.stack(self._scale_block(x, gamma)[1:])
+        return self._scale_block(x, gamma)[1:]
 
     def scale_ddgamma(self, x, gamma) -> np.ndarray:
         """Shape (p_gamma, p_gamma, n)."""
-        flat = np.stack(self._ddc_block(x, gamma))
-        return flat.reshape(self.p_gamma, self.p_gamma, *flat.shape[1:])
+        block = self._ddc_block(x, gamma)
+        return block.reshape((self.p_gamma, self.p_gamma) + block.shape[1:])
 
     def coefficients(self, x, alpha, gamma):
         """drift, scale, drift_dalpha and scale_dgamma at x, one call per block.
@@ -539,11 +533,12 @@ class ModelSpec:
         (p_gamma, n); constants, such as the scale g1, are broadcast to them.
         For stacks of B parameter vectors, shapes (B, p_alpha) and (B,
         p_gamma), a and c have shape (B, n) and da and dc (p_alpha, B, n) and
-        (p_gamma, B, n), and each row is what its vectors give alone.
+        (p_gamma, B, n), and each row is what its vectors give alone.  All
+        four are views of the two block arrays.
         """
-        a, *da = self._drift_block(x, alpha)
-        c, *dc = self._scale_block(x, gamma)
-        return a, c, np.stack(da), np.stack(dc)
+        drift = self._drift_block(x, alpha)
+        scale = self._scale_block(x, gamma)
+        return drift[0], scale[0], drift[1:], scale[1:]
 
     # -- misc --------------------------------------------------------------
 

@@ -7,6 +7,7 @@ benchmark run.  The benchmark's files are read, never changed.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +78,22 @@ def test_traced_mc_exercises_every_mc_layer(monkeypatch, tmp_path, name):
         hooks.uninstall()
     metrics = tracer.layer_metrics(hooks.take(), setup_spans, workload.cells_per_job())
     assert [metric for metric in spec.EXERCISED["mc"] if not metrics[metric] > 0] == []
+
+
+@pytest.mark.parametrize("name", ["mc-stable", "mc-nig", "llt-rates"])
+def test_reference_outputs_hold(monkeypatch, tmp_path, name):
+    # The benchmark's first job at full settings, checked against its
+    # recorded reference: a drift beyond the check's tolerances fails here,
+    # not only as outputs_incorrect in the benchmark run.
+    monkeypatch.setattr(harness, "_WORKER_CACHE", {})
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.import_module("spec")
+    workloads = importlib.import_module("workloads")
+    workload = workloads.make(spec.settings(name, tiny=False))
+    workload.setup()
+    seed = spec.job_seed(spec.DEFAULT_SEED, 0, 0)
+    job = workload.run(seed, 1, tmp_path)
+    reference = json.loads((BENCH / "reference.json").read_text())[name][str(seed)]
+    cells = workload.check(job, reference)
+    assert len(cells) == workload.cells_per_job()
+    assert [cell for cell in cells if not cell["ok"]] == []

@@ -144,6 +144,24 @@ class TestSimulateAndFit:
         assert code == 1
         assert "gone.csv" in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0.1,abc", "'abc'"), ("0.1", "x=None")],
+        ids=["non-numeric", "missing-field"],
+    )
+    def test_malformed_cell_named(self, capsys, tmp_path, row, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"t,x\n0.0,0.0\n{row}\n0.2,0.3\n")
+        code, _, err = run(capsys, "fit", "--data", str(data), "--beta", "1")
+        assert code == 1
+        assert err.startswith("error: UsageError:") and err.count("\n") == 1
+        assert "bad.csv line 3" in err and message in err
+
+    def test_unreadable_data_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "fit", "--data", str(tmp_path), "--beta", "1")
+        assert code == 1
+        assert err.startswith("error: UsageError:") and str(tmp_path) in err
+
     def test_model_violation_exit_code(self, capsys, tmp_path):
         data = tmp_path / "path.csv"
         run(capsys, "simulate", "--n", "100", "--fine-factor", "10",
@@ -221,6 +239,25 @@ class TestMc:
         )
         assert code == 1
         assert "no.yaml" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    @pytest.mark.parametrize("command", ["mc", "llt", "fit"])
+    def test_unreadable_config(self, capsys, tmp_path, command, kind):
+        cfg = tmp_path / "cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"\xff\xfe\x00preset: nig-1d\n")
+        argv = {
+            "mc": ["mc", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            "llt": ["llt", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            "fit": ["fit", "--data", str(tmp_path / "path.csv"),
+                    "--model-config", str(cfg), "--beta", "1"],
+        }[command]
+        (tmp_path / "path.csv").write_text("t,x\n0.0,0.0\n0.1,0.2\n0.2,0.1\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: UsageError:") and str(cfg) in err
 
     def test_unknown_config_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.yaml"

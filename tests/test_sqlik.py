@@ -270,16 +270,23 @@ class TestStackedPass:
     @pytest.mark.parametrize("size", [1, 3, 7])
     @pytest.mark.parametrize(
         "model_name, beta",
-        [("nonlinear-1d", 1.0), ("nonlinear-1d", 1.5), ("nonlinear-2d", 1.5)],
+        [("nonlinear-1d", 1.0), ("nonlinear-1d", 1.5), ("nonlinear-2d", 1.5),
+         ("ou-const", 1.5), ("ou-expscale", 1.0)],
     )
     def test_rows_equal_single_points(self, size, model_name, beta, stable_series,
                                       kernel1, kernel15):
+        # ou-const's scale g1 and ou-expscale's exp(g1) do not involve x, and
+        # ou-const's dc = 1 is a constant: each is broadcast across the stack
         model = build_model(model_name)
         kernel = kernel1 if beta == 1.0 else kernel15
         points = model.theta_true.full + np.random.default_rng(size).normal(
             0.0, 0.5, (size, model.p))
+        # inside the box, where ou-const's g1 stays positive; the other boxes
+        # lie 24 standard deviations out, so their points are as drawn
+        points = np.clip(points, *np.transpose(model.bounds))
         if size > 1:
-            # exp(g1 cos(x)) underflows to 0 where cos(x) > 0, overflows elsewhere
+            # exp(g1 cos(x)) underflows to 0 where cos(x) > 0, overflows
+            # elsewhere; g1 and exp(g1) are negative and 0
             points[1, model.p_alpha] = -1000.0
         stack = Theta.from_full(points, model.p_alpha)
         values = quasi_loglik(stable_series, model, stack, beta, kernel)
