@@ -36,7 +36,7 @@ from .llt import rate_fit
 from .models import MODEL_REGISTRY, build_model
 from .samplers import NoiseSpec, RngStream
 from .sde import ObservationSeries, simulate_fine, thin
-from .sqlik import OptimizerConfig, fit as fit_series
+from .sqlik import SCREEN, OptimizerConfig, fit as fit_series
 from .stable_core import StableKernel
 
 _SIMULATE_DEFAULTS = {"stable": {"beta": 1.5}, "nig": {"eta": 5.0}}
@@ -103,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="YAML mapping with drift/scale/p_alpha/p_gamma/bounds "
                             "for an expression model")
     p.add_argument("--beta", type=float, required=True, help="index used by the estimator")
-    p.add_argument("--restarts", type=int, default=10, help="multistart count")
+    p.add_argument("--restarts", type=int, default=10,
+                   help=f"ascents, from the best of max({SCREEN}, RESTARTS) screened starts")
     p.add_argument("--level", type=_level, default=0.95, help="confidence level in (0, 1)")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     _add_seed(p)
@@ -168,6 +169,11 @@ def _read_series(path: str) -> ObservationSeries:
         raise UsageError(f"{p} must have columns t,x")
     rows = []
     for r in reader:
+        if None in r:
+            raise UsageError(
+                f"{p} line {reader.line_num}: {len(reader.fieldnames) + len(r[None])} "
+                f"fields, but the header has {len(reader.fieldnames)}"
+            )
         try:
             rows.append((float(r["t"]), float(r["x"])))
         except (TypeError, ValueError) as exc:
@@ -207,6 +213,7 @@ def _cmd_fit(args) -> int:
         "score_norm": result.score_norm,
         "converged": result.converged,
         "restarts": result.restarts_used,
+        "n_evals": result.n_evals,
         "restarts_agreeing": result.restarts_agreeing,
         "confidence_level": args.level,
         "confidence_intervals": [[float(a), float(b)] for a, b in ci],

@@ -67,11 +67,12 @@ __all__ = [
 
 
 def _preset(model: str, base_seed: int, study: dict) -> dict:
-    """200 replicates of a study, 3 restarts started in theta_true +- 10."""
+    """200 replicates of a study; each fit screens sqlik.SCREEN starts drawn
+    in theta_true +- 10 and ascends from the best 2."""
     windows = [[t - 10.0, t + 10.0] for t in MODEL_REGISTRY[model]["theta_true"]]
     return {
         "model": model, **study, "replicates": 200, "base_seed": base_seed,
-        "optimizer": {"restarts": 3, "init_windows": windows},
+        "optimizer": {"restarts": 2, "init_windows": windows},
     }
 
 

@@ -31,8 +31,10 @@ each by a projected BFGS ascent (Byrd, Lu, Nocedal and Zhu, SISC 1995,
 without the limited memory that p <= 4 does not need) with an Armijo
 backtracking line search (Nocedal and Wright, Numerical Optimization, 2006,
 ch. 3 and 6).  Its bookkeeping is in Python floats: on vectors of 2 or 4
-entries numpy's per-call overhead exceeds the arithmetic.  The restarts
-advance in lockstep, so one stacked evaluation per round serves them all.
+entries numpy's per-call overhead exceeds the arithmetic.  H is first
+evaluated at SCREEN starts in one stacked call, and the ascents start from
+the best of them.  They advance in lockstep, so one stacked evaluation per
+round serves them all.
 """
 
 from __future__ import annotations
@@ -242,8 +244,12 @@ def quasi_hessian(
 
 # A restart stops after ITER_LIMIT accepted steps, or where its normalized
 # projected score norm is at most GTOL: far below the 1e-3 that bench/spec.py
-# allows a converged fit, and above the rounding floor, where restarts that
-# stalled on rounding noise showed norms up to 9e-8.
+# allows a converged fit.  Rounding noise can stall an ascent above it: of
+# 3600 stable15-1d cells fitted from a single start, 4 stalled within 1.1e-8
+# of the optimum at norms of 1.3e-6 to 4.8e-6 (replicate 1 of T=5, n=100 at
+# base seeds 41247, 51026 and 51050, and of T=5, n=200 at 41025).  A second
+# ascent converged there in each of them, and TIE_RTOL lets it win, which is
+# why the presets ascend from two starts.
 ITER_LIMIT = 200
 GTOL = 1e-6
 # The line search's sufficient-increase constant and its trial cap.
@@ -253,13 +259,17 @@ TRIAL_LIMIT = 40
 # max(1, |H|), reached one optimum: rounding moves H by about 1e-15 relative
 # at n = 100.
 TIE_RTOL = 1e-10
+# fit draws max(SCREEN, restarts) starts and evaluates H at all of them in
+# one stacked call; the restarts ascend from the best of them.
+SCREEN = 16
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multistart settings for the projected BFGS ascent on the analytic
-    score: ``restarts`` initial points drawn uniformly over init_windows
-    (default: the bounds box)."""
+    score: max(SCREEN, ``restarts``) starts drawn uniformly over
+    init_windows (default: the bounds box), of which the ``restarts`` with
+    the largest H are ascended."""
 
     restarts: int = 10
     init_windows: tuple[tuple[float, float], ...] | None = None
@@ -273,9 +283,11 @@ class OptimizerConfig:
 class FitResult:
     """The winning restart of a fit.
 
-    score_norm is the winner's normalized projected score norm, which is at
-    most GTOL where converged is true; restarts_agreeing counts the converged
-    restarts whose H is within TIE_RTOL of the winner's.
+    n_evals counts the points where H was evaluated: the screened starts
+    and every point of the ascents.  restarts_used is the number of
+    ascents.  score_norm is the winner's normalized projected score norm,
+    which is at most GTOL where converged is true; restarts_agreeing counts
+    the converged ascents whose H is within TIE_RTOL of the winner's.
     """
 
     theta_hat: Theta
@@ -461,15 +473,22 @@ def fit(
     """Maximize H over the bounds box by projected BFGS with uniform
     multistart.
 
+    The screen draws max(SCREEN, opt.restarts) starts, the first
+    opt.restarts of which do not depend on SCREEN, and evaluates H at all of
+    them in one quasi_loglik call.  The opt.restarts starts of largest H,
+    ties to the earlier draw, are ascended; a start where the model is
+    violated has H = -inf and comes last.  They are ascended in draw order.
+
     The restarts (_ascend) run in lockstep: each round stacks the next point
     of every restart still running and evaluates quasi_loglik and
     quasi_score there, in one call each and one pass over the observations;
     a restart leaves the stack when it finishes.  A row of the stack has the
     bits its point has alone, so each restart ends where it would alone.  A
     point where the model is violated counts as H = -inf.  n_evals counts
-    the points evaluated.  A restart has converged when its normalized
-    projected score norm, the score scaled by the Studentization rates
-    sqrt(n) h^(1-1/beta) (alpha) and sqrt(n) (gamma), is at most GTOL.
+    the points evaluated, the screened starts included.  A restart has
+    converged when its normalized projected score norm, the score scaled by
+    the Studentization rates sqrt(n) h^(1-1/beta) (alpha) and sqrt(n)
+    (gamma), is at most GTOL.
 
     The winner is the restart with the largest H value; exact ties are broken
     by the smaller normalized score norm so the result is deterministic.  An
@@ -483,15 +502,20 @@ def fit(
 
     wlo, whi = _start_box(model, opt.init_windows)
     gen = rng.generator(purpose=7)
-    inits = gen.uniform(wlo, whi, size=(opt.restarts, model.p))
+    draws = gen.uniform(wlo, whi, size=(max(SCREEN, opt.restarts), model.p))
+    screen = Theta.from_full(draws, model.p_alpha)
+    values = quasi_loglik(obs, model, screen, beta, kernel).tolist()
+    ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    starts = [draws[i].tolist() for i in sorted(ranked[: opt.restarts])]
     root_n = math.sqrt(obs.n)
     dn = [root_n * rate_exponent(obs.h, beta)] * model.p_alpha + [root_n] * model.p_gamma
 
-    outcomes, n_evals, violations = _lockstep(obs, model, beta, kernel, inits.tolist(), dn)
+    outcomes, n_evals, violations = _lockstep(obs, model, beta, kernel, starts, dn)
+    n_evals += len(values)
     candidates = [outcome for outcome in outcomes if outcome is not None]
     if not candidates:
         detail = f"model violation: {violations[-1]}" if violations else "no detail"
-        raise OptimizationError(f"all {len(inits)} restarts failed ({detail})")
+        raise OptimizationError(f"all {len(draws)} starts failed ({detail})")
     best = max(candidates, key=lambda cand: cand[:2])
     tied = [
         cand for cand in candidates
@@ -509,7 +533,7 @@ def fit(
         loglik=value,
         n_evals=n_evals,
         converged=converged,
-        restarts_used=len(inits),
+        restarts_used=len(starts),
         score_norm=-neg_norm,
         restarts_agreeing=agreeing,
     )

@@ -19,6 +19,7 @@ from stableql.errors import (
     StableQLError,
     UsageError,
 )
+from stableql.sqlik import SCREEN
 
 
 def run(capsys, *argv):
@@ -113,6 +114,7 @@ class TestSimulateAndFit:
         report = json.loads(out)
         assert report["converged"] is True
         assert 1 <= report["restarts_agreeing"] <= report["restarts"] == 3
+        assert report["n_evals"] > SCREEN
         assert len(report["theta_hat"]) == 2
         assert len(report["confidence_intervals"]) == 2
         lo, hi = report["confidence_intervals"][0]
@@ -146,8 +148,8 @@ class TestSimulateAndFit:
 
     @pytest.mark.parametrize(
         "row, message",
-        [("0.1,abc", "'abc'"), ("0.1", "x=None")],
-        ids=["non-numeric", "missing-field"],
+        [("0.1,abc", "'abc'"), ("0.1", "x=None"), ("0.1,0.2,0.3", "3 fields")],
+        ids=["non-numeric", "missing-field", "extra-field"],
     )
     def test_malformed_cell_named(self, capsys, tmp_path, row, message):
         data = tmp_path / "bad.csv"

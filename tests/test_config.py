@@ -168,22 +168,22 @@ _PINNED = {
     "nig-1d": ExperimentConfig(
         model_name="nonlinear-1d", noise=NoiseSpec("nig", eta=5.0), designs=_NIG_DESIGNS,
         replicates=200, base_seed=202501, beta_fit=1.0,
-        optimizer=OptimizerConfig(restarts=3, init_windows=_WINDOWS_1D),
+        optimizer=OptimizerConfig(restarts=2, init_windows=_WINDOWS_1D),
     ),
     "nig-2d": ExperimentConfig(
         model_name="nonlinear-2d", noise=NoiseSpec("nig", eta=5.0), designs=_NIG_DESIGNS,
         replicates=200, base_seed=202502, beta_fit=1.0,
-        optimizer=OptimizerConfig(restarts=3, init_windows=_WINDOWS_2D),
+        optimizer=OptimizerConfig(restarts=2, init_windows=_WINDOWS_2D),
     ),
     "stable15-1d": ExperimentConfig(
         model_name="nonlinear-1d", noise=NoiseSpec("stable", beta=1.5),
         designs=_STABLE_DESIGNS, replicates=200, base_seed=202503, beta_fit=1.5,
-        optimizer=OptimizerConfig(restarts=3, init_windows=_WINDOWS_1D),
+        optimizer=OptimizerConfig(restarts=2, init_windows=_WINDOWS_1D),
     ),
     "stable15-2d": ExperimentConfig(
         model_name="nonlinear-2d", noise=NoiseSpec("stable", beta=1.5),
         designs=_STABLE_DESIGNS, replicates=200, base_seed=202504, beta_fit=1.5,
-        optimizer=OptimizerConfig(restarts=3, init_windows=_WINDOWS_2D),
+        optimizer=OptimizerConfig(restarts=2, init_windows=_WINDOWS_2D),
     ),
 }
 

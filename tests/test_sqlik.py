@@ -219,7 +219,8 @@ class TestOnePass:
 
     def test_fit_makes_one_pass_per_round(self, stable_series, nonlinear_1d,
                                           kernel15, monkeypatch):
-        # one coefficients call per round, on the stack of that round's points
+        # one coefficients call for the screen, on every drawn start, then
+        # one per round, on the stack of that round's points
         stacks, rounds = [], []
         coefficients = ModelSpec.coefficients
 
@@ -234,14 +235,17 @@ class TestOnePass:
                      OptimizerConfig(restarts=2), RngStream(1, 2))
         assert len(stacks) == len(rounds)
         assert sum(stacks) == result.n_evals
-        assert stacks[0] == 2 and all(1 <= size <= 2 for size in stacks)
+        assert stacks[0] == sqlik.SCREEN and stacks[1] == 2
+        assert all(1 <= size <= 2 for size in stacks[1:])
 
     @pytest.mark.parametrize("beta", [1.0, 1.5])
     def test_fit_call_sites(self, beta, stable_series, nonlinear_1d, kernel1, kernel15,
                             monkeypatch):
         # the benchmark's tracer counts the fit's likelihood and kernel calls
-        # through these four attributes: each round calls each once, on the
-        # stack of its points, whose sizes add up to the points evaluated
+        # through these four attributes: the screen calls quasi_loglik and
+        # log_density once, on every drawn start, then each round calls each
+        # of the four once, on the stack of its points; the sizes add up to
+        # the points evaluated
         calls, rows = [], {"log_density": [], "g": []}
         for owner, name in [(sqlik, "quasi_loglik"), (sqlik, "quasi_score"),
                             (StableKernel, "log_density"), (StableKernel, "g")]:
@@ -257,11 +261,13 @@ class TestOnePass:
         kernel = kernel1 if beta == 1.0 else kernel15
         result = fit(stable_series, nonlinear_1d, beta, kernel,
                      OptimizerConfig(restarts=2), RngStream(1, 2))
-        rounds = calls.count("quasi_loglik")
-        assert calls == ["quasi_loglik", "log_density", "quasi_score", "g"] * rounds
-        assert rows["log_density"] == rows["g"]
+        rounds = calls.count("quasi_score")
+        assert calls == (["quasi_loglik", "log_density"]
+                         + ["quasi_loglik", "log_density", "quasi_score", "g"] * rounds)
+        assert rows["log_density"][0] == sqlik.SCREEN
+        assert rows["log_density"][1:] == rows["g"]
         assert sum(rows["log_density"]) == result.n_evals
-        assert 1 <= rounds < result.n_evals
+        assert 1 <= rounds < result.n_evals - sqlik.SCREEN
 
 
 class TestStackedPass:
@@ -376,6 +382,106 @@ class TestLockstep:
                      for start in starts]
             assert repr(together) == repr([outcomes[0] for outcomes, _, _ in alone]), rep
             assert evals == sum(count for _, count, _ in alone), rep
+
+
+def _ascended_starts(monkeypatch):
+    """The starts fit hands to _lockstep, recorded in a list."""
+    recorded = []
+    lockstep = sqlik._lockstep
+
+    def recording(obs, model, beta, kernel, starts, dn):
+        recorded.extend(starts)
+        return lockstep(obs, model, beta, kernel, starts, dn)
+
+    monkeypatch.setattr(sqlik, "_lockstep", recording)
+    return recorded
+
+
+def _draws(model, opt, rng):
+    """The max(SCREEN, restarts) starts fit draws."""
+    lo, hi = sqlik._start_box(model, opt.init_windows)
+    count = max(sqlik.SCREEN, opt.restarts)
+    return rng.generator(purpose=7).uniform(lo, hi, size=(count, model.p))
+
+
+class TestScreen:
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_ascends_the_starts_of_largest_h(self, restarts, stable_series, nonlinear_1d,
+                                              kernel15, monkeypatch):
+        opt = OptimizerConfig(restarts=restarts)
+        draws = _draws(nonlinear_1d, opt, RngStream(6, 1))
+        values = quasi_loglik(stable_series, nonlinear_1d,
+                              Theta.from_full(draws, nonlinear_1d.p_alpha), 1.5, kernel15)
+        best = sorted(np.argsort(-values, kind="stable")[:restarts])
+        ascended = _ascended_starts(monkeypatch)
+        result = fit(stable_series, nonlinear_1d, 1.5, kernel15, opt, RngStream(6, 1))
+        assert ascended == draws[best].tolist()
+        assert result.restarts_used == restarts
+
+    def test_ties_go_to_the_earlier_draw(self, stable_series, nonlinear_1d, kernel15,
+                                         monkeypatch):
+        # the screen's H values are replaced: three tie at the top, two
+        # violate the model, the rest tie below
+        screened = np.zeros(sqlik.SCREEN)
+        screened[[3, 7, 12]] = 1.0
+        screened[[0, 5]] = -np.inf
+        loglik = sqlik.quasi_loglik
+
+        def rigged(obs, model, theta, beta, kernel):
+            values = loglik(obs, model, theta, beta, kernel)
+            return screened if len(values) == sqlik.SCREEN else values
+
+        monkeypatch.setattr(sqlik, "quasi_loglik", rigged)
+        ascended = _ascended_starts(monkeypatch)
+        for restarts, best in [(2, [3, 7]), (4, [1, 3, 7, 12]), (15, [i for i in range(16) if i != 5])]:
+            opt = OptimizerConfig(restarts=restarts)
+            draws = _draws(nonlinear_1d, opt, RngStream(6, 1))
+            ascended.clear()
+            fit(stable_series, nonlinear_1d, 1.5, kernel15, opt, RngStream(6, 1))
+            assert ascended == draws[best].tolist(), restarts
+
+    def test_violating_draw_never_ascended_while_an_admissible_remains(
+        self, stable_series, kernel1, monkeypatch
+    ):
+        # the scale g1 is not positive on most of the box
+        model = build_model(drift="a1*x", scale="g1", p_alpha=1, p_gamma=1,
+                            bounds=[(-2.0, 2.0), (-2.0, 0.3)])
+        opt = OptimizerConfig(restarts=2)
+        ascended = _ascended_starts(monkeypatch)
+        counts = set()
+        for seed in range(20):
+            admissible = int((_draws(model, opt, RngStream(seed, 0))[:, 1] > 0.0).sum())
+            ascended.clear()
+            try:
+                result = fit(stable_series, model, 1.0, kernel1, opt, RngStream(seed, 0))
+            except OptimizationError as exc:
+                assert admissible == 0 and "model violation" in str(exc), seed
+                counts.add(0)
+                continue
+            assert sum(g > 0.0 for _, g in ascended) == min(2, admissible), seed
+            assert result.theta_hat.gamma[0] > 0.0
+            counts.add(min(2, admissible))
+        # every case occurs: no admissible draw, one, and two or more
+        assert counts == {0, 1, 2}
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_every_draw_ascended_from_screen_restarts_on(self, extra, stable_series,
+                                                         nonlinear_1d, kernel15,
+                                                         monkeypatch):
+        opt = OptimizerConfig(restarts=sqlik.SCREEN + extra)
+        draws = _draws(nonlinear_1d, opt, RngStream(6, 1)).tolist()
+        root_n = np.sqrt(stable_series.n)
+        dn = [root_n * rate_exponent(stable_series.h, 1.5), root_n]
+        outcomes, evals, _ = sqlik._lockstep(stable_series, nonlinear_1d, 1.5, kernel15,
+                                             draws, dn)
+        value, _, x, converged = max(outcomes, key=lambda outcome: outcome[:2])
+        assert converged
+        ascended = _ascended_starts(monkeypatch)
+        result = fit(stable_series, nonlinear_1d, 1.5, kernel15, opt, RngStream(6, 1))
+        assert ascended == draws
+        assert result.theta_hat.full.tobytes() == np.array(x).tobytes()
+        assert result.loglik == value
+        assert result.n_evals == evals + len(draws)
 
 
 class TestFit:
