@@ -610,9 +610,9 @@ def _normalized_projected_score(obs, model, theta, beta, kernel):
 
 
 def _lbfgsb_best(obs, model, beta, kernel, opt, rng):
-    """The largest H L-BFGS-B reaches from the fit's own starts."""
-    lo, hi = sqlik._start_box(model, opt.init_windows)
-    starts = rng.generator(purpose=7).uniform(lo, hi, size=(opt.restarts, model.p))
+    """The largest H L-BFGS-B reaches from every start the fit draws, the
+    screened starts it does not ascend included."""
+    starts = _draws(model, opt, rng)
 
     def objective(vec):
         theta = Theta.from_full(vec, model.p_alpha)
@@ -630,7 +630,8 @@ def _lbfgsb_best(obs, model, beta, kernel, opt, rng):
 
 
 class TestAgainstLbfgsb:
-    """scipy's L-BFGS-B from the same starts as the oracle of the fit."""
+    """scipy's L-BFGS-B, run from every start the fit draws, as the oracle
+    of the fit, which ascends only the best of them."""
 
     @pytest.mark.parametrize(
         "preset, design",
