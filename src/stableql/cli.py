@@ -12,7 +12,7 @@ Exit codes: 0 success, otherwise the ``exit_code`` of the package error
 raised (see ``errors``), after one ``error: <Class>: <message>`` line on
 stderr; a malformed command line is a usage error, exit 1.  simulate, fit
 and mc accept --seed, and reruns with identical arguments reproduce outputs
-byte-identically (timing columns excepted) at one BLAS thread count.
+byte-identically (timing columns excepted) at any BLAS thread count.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ machine-readable files:
 Replicates are independent (streams keyed by base_seed XOR replicate index)
 and are the unit of parallelism; aggregation sorts by (design, replicate) and
 groups each design's converged cells once (``_by_design``), so every output
-except wall-clock timings is byte-identical across reruns and worker counts at
-one BLAS thread count (the kernel tables are matrix products).
+except wall-clock timings is byte-identical across reruns, worker counts and
+BLAS thread counts.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ and h log(1/h) for generalized hyperbolic (locally Cauchy) noise, NIG
 included.  This module computes f_h by cosine-transform inversion, measures
 the L1 distance to phi_beta, and fits log-log decay slopes.  The inversion
 chooses its quadrature nodes by the same two rules as the StableKernel
-tables (stable_core._frequency_cutoff and _panel_nodes), so on a stable
-driver it reproduces the kernel's density on the kernel's own grid.
+tables (stable_core._frequency_cutoff and _panel_nodes) and sums them at
+every grid point by the same nonuniform FFT (_uniform_trig_sums), so on a
+stable driver it reproduces the kernel's density on the kernel's own grid.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def invert_density(cf: NoiseSpec, h: float, grid: np.ndarray) -> np.ndarray:
 
     The grid must be uniform and symmetric about 0, y_j = j * step as
     make_grid builds it; otherwise UsageError.  The transform is evaluated
-    at all points at once by angle addition (stable_core._uniform_trig_sums).
+    at all points at once by a nonuniform FFT (stable_core._uniform_trig_sums).
     """
     grid = np.asarray(grid, float)
     if grid.ndim != 1 or len(grid) < 2:

@@ -21,14 +21,16 @@ the near source is the standard Cauchy law's closed forms in 1 + y^2, up to
 |y| = 1e150, beyond which the tail series is the exact asymptote.  Otherwise
 phi, phi' and phi'' are computed once, at construction, by the inversion
 integral on a uniform grid over [0, TAIL_CUTOFF] (composite Gauss-Legendre
-quadrature, summed at every grid point by _uniform_trig_sums; angle addition
-leaves each node the cosines and sines of about 4 count^(1/4) angles for
-count grid points), and log phi and g are tabulated from them as cubic
+quadrature, summed at every grid point at once by _uniform_trig_sums, a
+nonuniform FFT within 1e-15 of the direct sums relative to the sum of the
+absolute weights), and log phi and g are tabulated from them as cubic
 Hermite interpolants whose slopes are the exact g and dg; dg is the
 derivative of the g interpolant.  These tables, mirrored for negative y,
 serve |y| <= TAIL_CUTOFF.  Every value is a function of its own point alone:
 evaluating an array at once and point by point gives the same bits.  phi,
-phi', phi'' and k derive from log phi, g and dg.
+phi', phi'' and k derive from log phi, g and dg.  Neither the tables nor the
+constants below go through a BLAS matrix product, so they have the same bits
+at every BLAS thread count.
 
 llt's density inversion shares the quadrature: _frequency_cutoff picks
 where the nodes end and _panel_nodes places them, for the kernel's tables
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -107,6 +110,12 @@ def _frequency_cutoff(log_integrand) -> float:
     return float(grid[np.argmax(decayed)])
 
 
+@cache
+def _panel_rule():
+    """The PANEL_ORDER-point Gauss-Legendre rule on [-1, 1], computed once."""
+    return leggauss(PANEL_ORDER)
+
+
 def _panel_nodes(u_max: float, y_max: float):
     """Composite Gauss-Legendre nodes/weights on [0, u_max] for a cosine
     transform evaluated at |y| <= y_max.
@@ -123,7 +132,7 @@ def _panel_nodes(u_max: float, y_max: float):
     uniform = np.linspace(0.0, u_max, n_panels + 1)
     graded = uniform[1] * 0.5 ** np.arange(40, 0, -1)
     edges = np.concatenate([[0.0], graded, uniform[1:]])
-    x, w = leggauss(PANEL_ORDER)
+    x, w = _panel_rule()
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -131,65 +140,105 @@ def _panel_nodes(u_max: float, y_max: float):
     return nodes, weights
 
 
-def _cos_sin(nodes, step, count):
-    """cos and sin of u k step for k < count at the nodes u; shape (count, len(nodes)).
+def _smooth_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: for each odd part 3^b 5^c below the
+    running best, the least power of two that lifts it to n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
 
-    Writing k = p * q + r with q = ceil(sqrt(count)), angle addition forms
-    them from the cosines and sines of about 2 sqrt(count) angles per node.
+
+# Gridding of _uniform_trig_sums: each node spreads over the 2 * _SPREAD
+# nearest points of a periodic grid that oversamples the 2 count modes
+# _OVERSAMPLE times.  Nodes are taken _SPREAD_CHUNK at a time: the (512, 28)
+# temporaries, 115 kB, stay below glibc's 128 kB mmap threshold, so they are
+# not mapped and faulted in afresh on every chunk.
+_SPREAD = 14
+_OVERSAMPLE = 3
+_SPREAD_CHUNK = 512
+_REACH = np.arange(2 * _SPREAD)
+
+
+def _gaussian_grid(position, weights, size, spread):
+    """Sum over the nodes of weight * exp(-spread d^2) at the 2 _SPREAD points
+    of the periodic grid of size points nearest each node, d grid steps away;
+    position is each node's place on the grid, in grid steps.
+
+    Each chunk's sums are binned on the span of grid points it reaches,
+    unwrapped, and then added to the grid one turn at a time.
     """
-    q = math.isqrt(count - 1) + 1
-    coarse = np.multiply.outer(step * q * np.arange(-(-count // q)), nodes)[:, None, :]
-    fine = np.multiply.outer(step * np.arange(q), nodes)
-    cos_c, sin_c = np.cos(coarse), np.sin(coarse)
-    cos_f, sin_f = np.cos(fine), np.sin(fine)
-    cos = (cos_c * cos_f - sin_c * sin_f).reshape(-1, nodes.size)[:count]
-    sin = (sin_c * cos_f + cos_c * sin_f).reshape(-1, nodes.size)[:count]
-    return cos, sin
-
-
-# Nodes per pass of _uniform_trig_sums.  Its tables of about 80 angles by
-# 128 nodes, 83 kB each, stay in cache and below glibc's 128 kB mmap
-# threshold, so they are not mapped and faulted in afresh on every pass.
-_NODE_CHUNK = 128
+    grid = np.zeros(size)
+    for start in range(0, position.size, _SPREAD_CHUNK):
+        x = position[start:start + _SPREAD_CHUNK]
+        lowest = np.floor(x) + (1 - _SPREAD)
+        gauss = np.exp(-spread * (lowest[:, None] + _REACH - x[:, None]) ** 2)
+        gauss *= weights[start:start + _SPREAD_CHUNK, None]
+        first = int(lowest.min())
+        index = (lowest.astype(np.intp) - first)[:, None] + _REACH
+        span = np.bincount(index.ravel(), gauss.ravel())
+        at = first % size
+        while span.size:
+            grid[at:at + span.size] += span[:size - at]
+            span, at = span[size - at:], 0
+    return grid
 
 
 def _uniform_trig_sums(nodes, step, count, cos_weights, sin_weights):
     """Sums over the nodes u of w(u) cos(u j step) and w(u) sin(u j step), j < count.
 
     Each weight array has shape (len(nodes),) or (len(nodes), k), or is None
-    to skip its sum; each sum has shape (count,) or (count, k).  Writing
-    j = m * b + i with b = ceil(sqrt(count)), the angle-addition identities
+    to skip its sum; each sum has shape (count,) or (count, k).
 
-        cos(A + B) = cos A cos B - sin A sin B
-        sin(A + B) = sin A cos B + cos A sin B
+    A type-1 nonuniform FFT by Gaussian gridding (Dutt & Rokhlin 1993;
+    Greengard & Lee 2004) gives S(j) = sum_u w(u) exp(-i j theta_u) with
+    theta = u step: the cosine sum is its real part and the sine sum minus
+    its imaginary part.  For M = 2 count modes the periodic grid has
+    size = _smooth_size(_OVERSAMPLE M) points x_m = 2 pi m / size, and with
+    R = size / M and tau = pi _SPREAD / (M^2 R (R - 1/2)) each node adds
+    w(u) exp(-(x_m - theta_u)^2 / (4 tau)) at the 2 _SPREAD grid points
+    nearest theta_u, wrapped mod 2 pi (_gaussian_grid).  One real FFT per
+    weight column gives the Fourier coefficients of that periodic sum of
+    Gaussians, sqrt(tau / pi) exp(-j^2 tau) S(j), and multiplying them by
+    sqrt(pi / tau) exp(j^2 tau) undoes the Gaussian.
 
-    with A = u m b step and B = u i step reduce each sum to two matrix
-    products over tables of count / b coarse and b fine angles per node.
-    _cos_sin builds each table by the same identities, so a node needs the
-    cosines and sines of about 4 count^(1/4) angles: 36 for the 6001-point
-    half grid of make_grid(), whose two tables hold 155.  The nodes are
-    taken _NODE_CHUNK at a time and the products summed.
+    Truncating the Gaussian costs exp(-pi _SPREAD (R - 1/2) / R) sum |w| and
+    aliasing exp(-pi _SPREAD (R - 1) / (R - 1/2)) sum |w|, both about 1e-16,
+    and the deconvolution multiplies them, and the rounding errors, by up to
+    exp(pi _SPREAD / (4 R (R - 1/2))) < 5 at j = count - 1.  On the kernel's
+    and the lab's nodes every sum is within 1e-15 sum |w| of the direct sum
+    taken in extended precision.  Phases u j step far beyond 2 pi add their
+    own rounding, about 1e-16 u j step, as they do to the direct sums.  The
+    cost is 2 _SPREAD exponentials per node and one FFT of about 6 count
+    points per weight column, where the direct sums take a cosine or sine of
+    every node-point product.
     """
     nodes = np.asarray(nodes, dtype=float)
-    block = math.isqrt(count - 1) + 1
-    blocks = -(-count // block)
-    weights = [None if w is None else np.asarray(w, dtype=float) for w in (cos_weights, sin_weights)]
-    # (k, blocks, b) per sum: rows m, columns i of the sum at j = m * b + i
-    tables = [None if w is None else np.zeros((w.size // nodes.size, blocks, block)) for w in weights]
-    for start in range(0, nodes.size, _NODE_CHUNK):
-        part = slice(start, start + _NODE_CHUNK)
-        cos_c, sin_c = _cos_sin(nodes[part], step * block, blocks)
-        cos_f, sin_f = _cos_sin(nodes[part], step, block)
-        pairs = ((cos_c, sin_c, -1.0), (sin_c, cos_c, 1.0))
-        for w, table, (first, second, sign) in zip(weights, tables, pairs):
-            if w is not None:
-                w = w[part].reshape(first.shape[1], -1).T[:, None, :]
-                table += (w * first) @ cos_f.T
-                table += sign * ((w * second) @ sin_f.T)
-    return tuple(
-        None if w is None else t.reshape(t.shape[0], -1)[:, :count].T.reshape((count,) + w.shape[1:])
-        for w, t in zip(weights, tables)
-    )
+    size = _smooth_size(_OVERSAMPLE * 2 * count)
+    tau = math.pi * _SPREAD / (size * (size - count))
+    # the Gaussian d grid steps from its node is exp(-spread d^2)
+    spread = (2.0 * math.pi / size) ** 2 / (4.0 * tau)
+    position = nodes * (step * size / (2.0 * math.pi))
+    j = np.arange(count)
+    deconvolve = math.sqrt(math.pi / tau) / size * np.exp(j * j * tau)
+    out = []
+    for sine, w in enumerate((cos_weights, sin_weights)):
+        if w is None:
+            out.append(None)
+            continue
+        w = np.asarray(w, dtype=float)
+        columns = w.reshape(nodes.size, -1).T
+        sums = np.empty((len(columns), count))
+        for column, row in zip(columns, sums):
+            spectrum = np.fft.rfft(_gaussian_grid(position, column, size, spread))[:count]
+            np.multiply(-spectrum.imag if sine else spectrum.real, deconvolve, out=row)
+        out.append(sums.T.reshape((count,) + w.shape[1:]))
+    return tuple(out)
 
 
 def _half_grid() -> np.ndarray:
@@ -295,7 +344,9 @@ class StableKernel:
         y, w = _line_quadrature(self.beta)
         w_phi, g = w * np.exp(self._evaluate(y, 0)), self._evaluate(y, 1)
         self._mass = float(np.sum(w_phi))
-        self._constants = InfoConstants(float(w_phi @ g**2), float(w_phi @ (1.0 + y * g) ** 2))
+        self._constants = InfoConstants(
+            float(np.sum(w_phi * g**2)), float(np.sum(w_phi * (1.0 + y * g) ** 2))
+        )
 
     # -- construction ------------------------------------------------------
 

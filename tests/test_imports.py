@@ -53,7 +53,7 @@ def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
 
 
 def test_import_loads_no_path_specific_module():
-    heavy = ("sympy", "yaml", "scipy", "concurrent.futures.process")
+    heavy = ("sympy", "yaml", "scipy", "concurrent.futures.process", "numpy.fft")
     assert _loaded("import stableql", heavy) == []
 
 

@@ -1,7 +1,12 @@
 """Stable density kernel: values, derivatives, and information constants."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,10 +309,18 @@ class TestInfoConstants:
 
 
 class TestTrigSums:
+    # u step beyond pi and beyond 2 pi at step 1e-3: the grid wraps
+    WRAPPING = np.array([3.2e3, 4.0e3, 6.3e3, 6.5e3, 9.0e3])
+
+    def nodes(self, rng):
+        return np.concatenate(
+            [1e-12 * 2.0 ** np.arange(30), rng.uniform(0.0, 40.0, 300), self.WRAPPING]
+        )
+
     @pytest.mark.parametrize("count", [1, 2, 7, 50**2 - 1, 50**2 + 1, 6001, 15001])
     def test_matches_direct_sums(self, count):
         rng = np.random.default_rng(count)
-        nodes = np.concatenate([1e-12 * 2.0 ** np.arange(30), rng.uniform(0.0, 40.0, 300)])
+        nodes = self.nodes(rng)
         cos_w = rng.normal(size=(nodes.size, 2))
         sin_w = rng.normal(size=nodes.size)
         step = 1e-3
@@ -316,6 +329,20 @@ class TestTrigSums:
         assert c.shape == (count, 2) and s.shape == (count,)
         assert np.all(np.abs(c - np.cos(arg) @ cos_w) <= 1e-12 * np.abs(cos_w).sum(axis=0))
         assert np.all(np.abs(s - np.sin(arg) @ sin_w) <= 1e-12 * np.abs(sin_w).sum())
+
+    @pytest.mark.parametrize("count", [7, 6001])
+    def test_one_kind_of_sum(self, count):
+        rng = np.random.default_rng(count + 1)
+        nodes = self.nodes(rng)
+        arg = np.outer(np.arange(count) * 1e-3, nodes)
+        cos_w = rng.normal(size=(nodes.size, 3))
+        c, none = stable_core._uniform_trig_sums(nodes, 1e-3, count, cos_w, None)
+        assert none is None and c.shape == (count, 3)
+        assert np.all(np.abs(c - np.cos(arg) @ cos_w) <= 1e-12 * np.abs(cos_w).sum(axis=0))
+        sin_w = rng.normal(size=(nodes.size, 2))
+        none, s = stable_core._uniform_trig_sums(nodes, 1e-3, count, None, sin_w)
+        assert none is None and s.shape == (count, 2)
+        assert np.all(np.abs(s - np.sin(arg) @ sin_w) <= 1e-12 * np.abs(sin_w).sum(axis=0))
 
     def test_build_tables_match_direct_sums(self, kernel15):
         u_max = stable_core._frequency_cutoff(lambda u: 2.0 * np.log1p(u) - u**1.5)
@@ -328,6 +355,50 @@ class TestTrigSums:
         assert np.abs(phi[idx] - np.cos(arg) @ damp / math.pi).max() < 1e-12
         assert np.abs(dphi[idx] + np.sin(arg) @ (damp * u) / math.pi).max() < 1e-12
         assert np.abs(ddphi[idx] + np.cos(arg) @ (damp * u**2) / math.pi).max() < 1e-12
+
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.9])
+    def test_table_edge_matches_direct_sums(self, beta):
+        # phi is smallest at the last knots, where an error relative to the
+        # sum of the weights is largest relative to phi
+        u_max = stable_core._frequency_cutoff(lambda u: 2.0 * np.log1p(u) - u**beta)
+        u, w = stable_core._panel_nodes(u_max, stable_core.TAIL_CUTOFF)
+        damp = w * np.exp(-(u**beta))
+        y = stable_core._half_grid()[-200:]
+        arg = np.outer(y, u)
+        phi = np.cos(arg) @ damp
+        kernel = StableKernel(beta)
+        assert np.abs(kernel.log_density(y) - np.log(phi / math.pi)).max() < 1e-11
+        assert np.abs(kernel.g(y) + np.sin(arg) @ (damp * u) / phi).max() < 1e-11
+
+
+def test_same_bits_at_one_and_two_blas_threads():
+    probe = textwrap.dedent(
+        """
+        import hashlib
+        import numpy as np
+        from stableql.cli import main
+        from stableql.stable_core import StableKernel
+        main(["constants", "--beta", "1.5"])
+        y = np.linspace(-20.0, 20.0, 4001)
+        digest = hashlib.sha256()
+        for beta in (1.2, 1.5, 1.9):
+            kernel = StableKernel(beta)
+            for part in (kernel.log_density(y), kernel.g(y), kernel.dg(y)):
+                digest.update(part.tobytes())
+        print(digest.hexdigest())
+        """
+    )
+    src = str(Path(stable_core.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0].startswith("1.5,") and outputs[0] == outputs[1]
 
 
 class TestTailCoefficient:
