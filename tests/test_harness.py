@@ -1,5 +1,6 @@
 """Monte Carlo harness: execution, aggregation, determinism, failure policy."""
 
+import concurrent.futures
 import csv
 import filecmp
 import json
@@ -109,6 +110,28 @@ class TestRunExperiment:
         config = small_config()
         a = run_experiment(config, tmp_path / "a", workers=1)
         b = run_experiment(config, tmp_path / "b", workers=3)
+        for name in ["summary.json", "histograms.csv", "boxplots.csv"]:
+            assert filecmp.cmp(a / name, b / name, shallow=False)
+        assert strip_seconds(a / "replicates.csv") == strip_seconds(b / "replicates.csv")
+
+    @pytest.mark.parametrize(
+        "replicates, forked", [(2, [2]), (1, [])], ids=["two-replicates", "one-replicate"],
+    )
+    def test_forks_no_idle_worker(self, tmp_path, monkeypatch, replicates, forked):
+        # asked for 4 workers, a study forks one per replicate, and a
+        # one-replicate study runs in-process
+        pools = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        config = small_config(replicates=replicates)
+        a = run_experiment(config, tmp_path / "a", workers=1)
+        b = run_experiment(config, tmp_path / "b", workers=4)
+        assert pools == forked
         for name in ["summary.json", "histograms.csv", "boxplots.csv"]:
             assert filecmp.cmp(a / name, b / name, shallow=False)
         assert strip_seconds(a / "replicates.csv") == strip_seconds(b / "replicates.csv")

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, and each path
-imports only what it runs: PyYAML and the process pool load at their first
-use, and scipy and sympy, test-only oracles, never load."""
+imports only what it runs: PyYAML, numpy.random and the process pool load at
+their first use, scipy and sympy, test-only oracles, never load, and forked
+pool workers import nothing."""
 
 import ast
 import json
@@ -41,19 +42,25 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _run_fresh(code: str) -> list[str]:
+    """The lines that code prints when run in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
     """Those of the modules that running code in a fresh interpreter loads."""
     probe = f"{code}\nimport sys\nprint(' '.join(m for m in {modules!r} if m in sys.modules))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": _SRC},
-        capture_output=True, text=True, check=True,
-    )
-    return out.stdout.splitlines()[-1].split()
+    return _run_fresh(probe)[-1].split()
 
 
 def test_import_loads_no_path_specific_module():
-    heavy = ("sympy", "yaml", "scipy", "concurrent.futures.process", "numpy.fft")
+    heavy = ("sympy", "yaml", "scipy", "concurrent.futures.process", "numpy.fft", "numpy.random")
     assert _loaded("import stableql", heavy) == []
 
 
@@ -163,3 +170,34 @@ def test_runs_where_sympy_cannot_be_imported():
         + _SMALL_RUN
     )
     assert _loaded(code, ("sympy",)) == []
+
+
+def test_forked_workers_import_nothing():
+    # Each replicate a worker runs prints the worker's pid and the modules
+    # that sys.modules gained meanwhile; the parent prints its pid last.  In
+    # this (pytest's) process numpy.random is loaded already, so the study
+    # must run in a fresh interpreter.
+    code = (
+        "import os, sys, tempfile\n"
+        "from dataclasses import replace\n"
+        "from stableql import harness\n"
+        "from stableql.config import preset_config\n"
+        "from stableql.harness import Design, run_experiment\n"
+        "run = harness._run_replicate\n"
+        "def checked(config, rep):\n"
+        "    before = set(sys.modules)\n"
+        "    records = run(config, rep)\n"
+        "    print(os.getpid(), *sorted(set(sys.modules) - before), flush=True)\n"
+        "    return records\n"
+        "harness._run_replicate = checked\n"
+        "config = replace(preset_config('nig-1d'), replicates=2, designs=(Design(1.0, 50, 10),))\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    run_experiment(config, out, workers=2)\n"
+        "print(os.getpid())\n"
+    )
+    *replicates, parent = _run_fresh(code)
+    assert len(replicates) == 2
+    for line in replicates:
+        pid, *imported = line.split()
+        assert pid != parent
+        assert imported == []
