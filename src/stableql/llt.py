@@ -61,19 +61,31 @@ def invert_density(cf: NoiseSpec, h: float, grid: np.ndarray) -> np.ndarray:
     grids wider than |y| = 60 (stable_core._panel_nodes).  Tiny negative
     lobes from quadrature ringing are clipped to zero.
 
-    The grid must be uniform and symmetric about 0, y_j = j * step as
-    make_grid builds it; otherwise UsageError.  The transform is evaluated
-    at all points at once by a nonuniform FFT (stable_core._uniform_trig_sums).
+    The grid must be finite, uniform and symmetric about 0, y_j = j * step
+    as make_grid builds it: each y_j within 1e-12 + 1e-5 |y_-j| of -y_-j
+    and within 1e-12 + 1e-12 |j step| of j step, allclose's tests written
+    out; otherwise UsageError.  The transform is evaluated at all points at
+    once by a nonuniform FFT (stable_core._uniform_trig_sums).
+    A nig or gh_nig (gh_lambda = -1/2) exponent is in closed form, so the
+    FFT and its gridding take nearly all of such an inversion.
     """
     grid = np.asarray(grid, float)
     if grid.ndim != 1 or len(grid) < 2:
         raise UsageError("grid must be a 1d array with at least 2 points")
-    if len(grid) % 2 == 0 or not np.allclose(grid, -grid[::-1], atol=1e-12):
+    # both tests are allclose's |a - b| <= atol + rtol |b|, written out:
+    # isclose's care for infinities costs as much as the test, and isfinite
+    # rejects them first
+    mirror = grid[::-1]
+    if (
+        len(grid) % 2 == 0
+        or not np.isfinite(grid).all()
+        or not np.all(np.abs(grid + mirror) <= 1e-12 + 1e-5 * np.abs(mirror))
+    ):
         raise UsageError("grid must be symmetric about 0 and contain 0")
     center = len(grid) // 2
     step = float(grid[center + 1] - grid[center])
     uniform = step * np.arange(-center, center + 1)
-    if step == 0.0 or not np.allclose(grid, uniform, rtol=1e-12, atol=1e-12):
+    if step == 0.0 or not np.all(np.abs(grid - uniform) <= 1e-12 + 1e-12 * np.abs(uniform)):
         raise UsageError("grid must be uniform, y_j = j * step")
     step = abs(step)
     y_max = center * step

@@ -114,7 +114,11 @@ class NoiseSpec:
         gen = rng.generator()
         if self.kind == "nig":
             mixing = _inverse_gaussian(dt / self.eta, dt**2, count, gen)
-            return np.sqrt(mixing) * gen.standard_normal(size=count)
+            z = gen.standard_normal(size=count)
+            # sqrt(mixing) * z, in place: no temporary of count draws
+            np.sqrt(mixing, out=mixing)
+            z *= mixing
+            return z
         beta = self.beta
         v = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=count)
         w = gen.standard_exponential(size=count)
@@ -172,7 +176,12 @@ class NoiseSpec:
 
 def _gh_unit_exponent(v: np.ndarray, lam: float, eta: float, log_k_eta: float) -> np.ndarray:
     """log of the GH(lam, eta, 1) characteristic function at v, given
-    log_k_eta = log K_lam(eta)."""
+    log_k_eta = log K_lam(eta).
+
+    At lam = -1/2 (nig) _log_kve is in closed form and the logs cancel to
+    the NIG exponent eta - sqrt(eta^2 + v^2) (Barndorff-Nielsen 1997), up
+    to rounding.
+    """
     s = np.sqrt(eta**2 + v**2)
     # log K_lam(s) = _log_kve(lam, s) - s: the exponentially scaled Bessel
     # function stays finite for large arguments
@@ -180,15 +189,48 @@ def _gh_unit_exponent(v: np.ndarray, lam: float, eta: float, log_k_eta: float) -
     return 0.5 * lam * (2.0 * math.log(eta) - np.log(eta**2 + v**2)) + log_k_s - log_k_eta
 
 
+# Draws per block of _inverse_gaussian's arithmetic: its two (8192,)
+# temporaries, 64 kB each, stay below glibc's 128 kB mmap threshold, so they
+# are not mapped and faulted in afresh on every call.
+_IG_BLOCK = 8192
+
+
 def _inverse_gaussian(mean: float, shape: float, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Inverse-Gaussian draws IG(mean, shape), all strictly positive."""
-    y = gen.standard_normal(size=count) ** 2
+    """Inverse-Gaussian draws IG(mean, shape), all strictly positive.
+
+    With y a squared standard normal and u a uniform, the draw is
+    x = mean + mean^2 y / (2 shape) - mean / (2 shape) sqrt(4 mean shape y + mean^2 y^2)
+    if u <= mean / (mean + x), and mean^2 / x otherwise.  The arithmetic
+    runs in place over blocks of _IG_BLOCK draws, in the operation order of
+    that formula, so the draws are the same bits at any block size.
+    """
+    y = gen.standard_normal(size=count)
+    np.square(y, out=y)
     u = gen.uniform(size=count)
-    x = mean + mean**2 * y / (2.0 * shape) - mean / (2.0 * shape) * np.sqrt(
-        4.0 * mean * shape * y + mean**2 * y**2
-    )
-    accept = u <= mean / (mean + x)
-    return np.where(accept, x, mean**2 / x)
+    root, x = np.empty(min(count, _IG_BLOCK)), np.empty(min(count, _IG_BLOCK))
+    accept = np.empty(x.size, dtype=bool)
+    for start in range(0, count, _IG_BLOCK):
+        yb = y[start:start + _IG_BLOCK]
+        r, xb, ab = root[:yb.size], x[:yb.size], accept[:yb.size]
+        # r = mean / (2 shape) sqrt(4 mean shape y + mean^2 y^2)
+        np.multiply(yb, yb, out=r)
+        r *= mean**2
+        np.multiply(4.0 * mean * shape, yb, out=xb)
+        xb += r
+        np.sqrt(xb, out=xb)
+        np.multiply(mean / (2.0 * shape), xb, out=r)
+        # xb = mean + mean^2 y / (2 shape) - r
+        np.multiply(mean**2, yb, out=xb)
+        xb /= 2.0 * shape
+        np.add(mean, xb, out=xb)
+        xb -= r
+        # the draw, over y's block: xb if u <= mean / (mean + xb), else mean^2 / xb
+        np.add(mean, xb, out=r)
+        np.divide(mean, r, out=r)
+        np.less_equal(u[start:start + _IG_BLOCK], r, out=ab)
+        np.divide(mean**2, xb, out=yb)
+        np.copyto(yb, xb, where=ab)
+    return y
 
 
 # Trapezoidal rule for e^x K_nu(x); see _log_kve.
@@ -229,8 +271,14 @@ def _log_kve(nu: float, x) -> np.ndarray:
     u = sqrt(|nu|), so the span grows with it and the largest step shrinks in
     proportion.  The log is accurate to 1e-13 for |nu| <= 50 and x in
     [_KVE_MIN_X, 1e7].
+
+    At |nu| = 1/2 the integrand is identically 1 and the integral is
+    sqrt(pi) / 2, so the value is exactly 0.5 log(pi / (2 x)) and no rule
+    runs: the nig exponent costs a few ufuncs.
     """
     x = np.asarray(x, dtype=float)
+    if abs(nu) == 0.5:
+        return 0.5 * np.log(math.pi / (2.0 * x))
     r = np.sqrt(2.0 * x.reshape(-1))
     span = max(_KVE_SPAN, _KVE_SPAN - 2.0 + math.sqrt(abs(nu)))
     step = min(_KVE_MAX_STEP * _KVE_SPAN / span, 2.0 * math.pi * float(r.min()) / 45.0)

@@ -176,7 +176,9 @@ def test_forked_workers_import_nothing():
     # Each replicate a worker runs prints the worker's pid and the modules
     # that sys.modules gained meanwhile; the parent prints its pid last.  In
     # this (pytest's) process numpy.random is loaded already, so the study
-    # must run in a fresh interpreter.
+    # must run in a fresh interpreter.  A worker writes its line in one
+    # write: under PYTHONUNBUFFERED print writes each piece on its own, and
+    # two workers' pieces could interleave.
     code = (
         "import os, sys, tempfile\n"
         "from dataclasses import replace\n"
@@ -187,7 +189,8 @@ def test_forked_workers_import_nothing():
         "def checked(config, rep):\n"
         "    before = set(sys.modules)\n"
         "    records = run(config, rep)\n"
-        "    print(os.getpid(), *sorted(set(sys.modules) - before), flush=True)\n"
+        "    line = ' '.join([str(os.getpid()), *sorted(set(sys.modules) - before)])\n"
+        "    os.write(1, (line + '\\n').encode())\n"
         "    return records\n"
         "harness._run_replicate = checked\n"
         "config = replace(preset_config('nig-1d'), replicates=2, designs=(Design(1.0, 50, 10),))\n"

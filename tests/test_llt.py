@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stableql
-from stableql import llt
+from stableql import llt, samplers
 from stableql.errors import DomainError, NumericError, UsageError
 from stableql.llt import (
     invert_density,
@@ -14,7 +14,7 @@ from stableql.llt import (
     make_grid,
     rate_fit,
 )
-from stableql.samplers import NoiseSpec
+from stableql.samplers import _KVE_MIN_X, NoiseSpec
 from stableql.stable_core import (
     GRID_STEP,
     TAIL_CUTOFF,
@@ -78,6 +78,26 @@ class TestCfModel:
             for h in (1.0, 0.05):
                 closed = eta * h - np.sqrt(eta**2 * h**2 + u**2)
                 assert np.allclose(cf.exponent(u, h), closed, atol=1e-10)
+
+    @pytest.mark.parametrize("h", [1.0, 1e-1, 1e-3])
+    def test_nig_exponent_without_bessel_quadrature(self, h):
+        # K_(-1/2) is elementary: the logs of the GH exponent cancel to the
+        # NIG form up to their rounding, over the lab's frequencies
+        u = np.geomspace(1e-4, 60.0, 400)
+        for eta in (_KVE_MIN_X, 5.0):
+            closed = eta * h - np.sqrt(eta**2 * h**2 + u**2)
+            for cf in (NoiseSpec("gh_nig", gh_lambda=-0.5, gh_eta=eta), NoiseSpec("nig", eta=eta)):
+                np.testing.assert_allclose(cf.exponent(u, h), closed, rtol=0, atol=1e-13)
+
+    def test_nig_inversion_runs_no_bessel_rule(self, grid, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("the Bessel rule ran at order -1/2")
+
+        monkeypatch.setattr(samplers, "_kve_rule", no_rule)
+        f = invert_density(NoiseSpec("gh_nig", gh_lambda=-0.5, gh_eta=5.0), 1e-2, grid)
+        assert abs(np.trapezoid(f, grid) - 1.0) < 1e-2
+        with pytest.raises(AssertionError, match="Bessel rule"):
+            NoiseSpec("gh_nig", gh_lambda=0.7, gh_eta=5.0).exponent(np.array([1.0]), 1e-2)
 
     def test_one_driver_type(self):
         # the lab's former class name is the driver type itself, and the
@@ -168,6 +188,13 @@ class TestInvertDensity:
         cf = NoiseSpec("stable", 1.5)
         with pytest.raises(UsageError):
             invert_density(cf, 0.1, np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_grid_rejected(self, bad):
+        cf = NoiseSpec("stable", 1.5)
+        for grid in ([-bad, 0.0, bad], [-1.0, bad, 0.0, bad, 1.0], [-1.0, 0.0, 1.0, bad, 2.0]):
+            with pytest.raises(UsageError, match="symmetric"):
+                invert_density(cf, 0.1, np.array(grid))
 
     def test_non_uniform_grid_rejected(self):
         cf = NoiseSpec("stable", 1.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stableql import samplers
 from stableql.errors import DomainError
 from stableql.samplers import _KVE_MIN_X, NoiseSpec, RngStream, _inverse_gaussian, _log_kve
 
@@ -93,6 +94,24 @@ class TestNig:
         c = NoiseSpec("nig", eta=eta).sample(dt, 20_000, RngStream(11, 2))
         stat = stats.ks_2samp(a + b, c).statistic
         assert stat < 0.02
+
+    @pytest.mark.parametrize("count", [0, 1, 8191, 8193, 150_000])
+    def test_same_bits_as_the_formula(self, count):
+        # the sampler works in place over blocks of draws; written out over
+        # whole arrays, with its three draws in the same stream order, the
+        # formula gives the same bits
+        eta, dt = 5.0, 1e-3
+        gen = RngStream(14, count).generator()
+        mean, shape = dt / eta, dt**2
+        y = gen.standard_normal(size=count) ** 2
+        u = gen.uniform(size=count)
+        x = mean + mean**2 * y / (2.0 * shape) - mean / (2.0 * shape) * np.sqrt(
+            4.0 * mean * shape * y + mean**2 * y**2
+        )
+        mixing = np.where(u <= mean / (mean + x), x, mean**2 / x)
+        expected = np.sqrt(mixing) * gen.standard_normal(size=count)
+        drawn = NoiseSpec("nig", eta=eta).sample(dt, count, RngStream(14, count))
+        assert drawn.shape == (count,) and np.array_equal(drawn, expected)
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):
@@ -217,6 +236,18 @@ class TestBesselK:
         exact = 0.5 * lam * np.log(eta**2 / s**2) + np.log(kve(lam, s) / kve(lam, eta)) - s + eta
         spec = NoiseSpec("gh_nig", gh_lambda=lam, gh_eta=eta)
         np.testing.assert_allclose(spec.exponent(v, 1.0), exact, rtol=0, atol=1e-12)
+
+    def test_half_order_is_elementary(self, monkeypatch):
+        # e^x K_(1/2)(x) = sqrt(pi / (2x)) exactly, with no rule at all
+        def no_rule(*args):
+            raise AssertionError("the rule ran at order 1/2")
+
+        monkeypatch.setattr(samplers, "_kve_rule", no_rule)
+        x = np.geomspace(_KVE_MIN_X, 1e7, 2001)
+        for nu in (0.5, -0.5):
+            assert np.array_equal(_log_kve(nu, x), 0.5 * np.log(np.pi / (2.0 * x)))
+        assert _log_kve(0.5, x.reshape(-1, 3)).shape == (667, 3)
+        assert _log_kve(0.5, 3.0).shape == ()
 
     def test_keeps_shape(self):
         x = np.array([[0.5, 2.0], [30.0, 4e5]])

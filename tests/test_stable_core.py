@@ -344,6 +344,20 @@ class TestTrigSums:
         assert none is None and s.shape == (count, 2)
         assert np.all(np.abs(s - np.sin(arg) @ sin_w) <= 1e-12 * np.abs(sin_w).sum(axis=0))
 
+    @pytest.mark.parametrize("count, length", [(6001, 36864), (15001, 92160)])
+    def test_fft_length_is_rich_in_twos(self, count, length, monkeypatch):
+        # the lab's and the kernel tables' lengths: multiples of 1024 with no
+        # prime factor above 5, not 36450 = 2 3^6 5^2 and 91125 = 3^6 5^3
+        lengths, rfft = [], np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a: lengths.append(a.size) or rfft(a))
+        stable_core._uniform_trig_sums(np.array([0.5, 2.0]), 1e-2, count, np.ones(2), None)
+        assert lengths == [length]
+        odd = length // 1024
+        for p in (2, 3, 5):
+            while odd % p == 0:
+                odd //= p
+        assert length % 1024 == 0 and odd == 1
+
     def test_build_tables_match_direct_sums(self, kernel15):
         u_max = stable_core._frequency_cutoff(lambda u: 2.0 * np.log1p(u) - u**1.5)
         u, w = stable_core._panel_nodes(u_max, stable_core.TAIL_CUTOFF)
